@@ -13,7 +13,7 @@ row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
 Every metadata sidecar carries at least the effective seed, dimensions,
 draw count, a checksum of the canonical serialization of the parameter
 matrix, and the tool version, so a published result is reproducible from
-the sidecar alone.  Output files are written atomically.
+the sidecar alone.  Output files are written atomically and follow the umask.
 """
 
 from __future__ import annotations
@@ -21,99 +21,92 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
 from .errors import ValidationError
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+_CSV_BLOCK_CELLS = 1 << 14  # cells per step of the CSV codec: bounds its temporaries, not n
+
+
+def _format_rows(cells: np.ndarray, index: np.ndarray | None = None) -> str:
+    """Float table as CSV rows, optionally led by an integer index, 17 digits per float."""
+    template = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+    if index is not None:
+        cells = np.column_stack([index, cells])
+        template = "%d," + template
+    step = max(1, _CSV_BLOCK_CELLS // cells.shape[1])
+    blocks = (cells[start:start + step] for start in range(0, len(cells), step))
+    return "".join((template * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:
     """Single complex matrix as headerless CSV, one text row per matrix row."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    lines = []
-    for row in mat:
-        cells = []
-        for value in row:
-            cells.append(format_float(value.real))
-            cells.append(format_float(value.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _format_rows(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64))
 
 
-def _parse_csv_rows(text: str, path_hint: str) -> list[list[float]]:
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ValidationError(f"{path_hint}: line {line_no} is not numeric: {exc}") from exc
+def _parse_csv_rows(text: str, path_hint: str) -> np.ndarray:
+    """Numeric CSV, blank lines skipped, as a (rows, width) array; cells parse as float()."""
+    rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValidationError(f"{path_hint}: no data rows")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ValidationError(f"{path_hint}: ragged rows with widths {sorted(widths)}")
-    return rows
+    widths = np.array([row.count(",") for row in rows]) + 1
+    ends = np.concatenate([[0], np.cumsum(widths)])
+    values = np.empty(ends[-1])
+    start, step = 0, max(1, _CSV_BLOCK_CELLS // int(widths.max()))
+    while start < len(rows):
+        stop = min(start + step, len(rows))
+        try:
+            values[ends[start]:ends[stop]] = np.array(",".join(rows[start:stop]).split(","), float)
+        except ValueError as exc:
+            if step > 1:  # go row by row from this block to name the first bad line
+                step = 1
+                continue
+            line_no = [no for no, line in enumerate(text.splitlines(), 1) if line.strip()][start]
+            raise ValidationError(f"{path_hint}: line {line_no} is not numeric: {exc}") from exc
+        start = stop
+    if np.any(widths != widths[0]):  # only once all parse: a bad cell is named first
+        raise ValidationError(f"{path_hint}: ragged rows with widths {np.unique(widths).tolist()}")
+    return values.reshape(len(rows), widths[0])
 
 
 def matrix_from_csv(text: str, path_hint: str = "matrix file") -> np.ndarray:
     """Parse a single complex matrix from headerless (Re, Im)-pair CSV."""
-    rows = _parse_csv_rows(text, path_hint)
-    width = len(rows[0])
-    if width % 2 != 0:
+    data = _parse_csv_rows(text, path_hint)
+    if data.shape[1] % 2 != 0:
         raise ValidationError(
-            f"{path_hint}: expected an even column count of (Re, Im) pairs, got {width}"
+            f"{path_hint}: expected an even column count of (Re, Im) pairs, got {data.shape[1]}"
         )
-    data = np.asarray(rows, dtype=float)
-    return data[:, 0::2] + 1j * data[:, 1::2]
+    return data.view(np.complex128)
 
 
 def draws_to_csv(draws: np.ndarray) -> str:
     """Stacked draws (n, m, r) as CSV with a leading draw_index column."""
-    draws = np.asarray(draws, dtype=np.complex128)
-    lines = []
-    for index, mat in enumerate(draws):
-        for row in mat:
-            cells = [str(index)]
-            for value in row:
-                cells.append(format_float(value.real))
-                cells.append(format_float(value.imag))
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    draws = np.ascontiguousarray(draws, dtype=np.complex128)
+    n, m, r = draws.shape
+    return _format_rows(draws.reshape(n * m, r).view(np.float64), np.repeat(np.arange(n), m))
 
 
 def draws_from_csv(text: str, path_hint: str = "draws file") -> np.ndarray:
     """Parse stacked draws back into an (n, m, r) complex array."""
-    rows = _parse_csv_rows(text, path_hint)
-    width = len(rows[0])
+    data = _parse_csv_rows(text, path_hint)
+    width = data.shape[1]
     if width < 3 or (width - 1) % 2 != 0:
         raise ValidationError(
             f"{path_hint}: expected draw_index plus (Re, Im) pairs, got {width} columns"
         )
-    data = np.asarray(rows, dtype=float)
     indices = data[:, 0]
     if not np.all(indices == np.round(indices)):
         raise ValidationError(f"{path_hint}: draw_index column is not integral")
-    indices = indices.astype(int)
-    boundaries = np.flatnonzero(np.diff(indices)) + 1
-    blocks = np.split(data[:, 1:], boundaries)
-    expected = np.arange(len(blocks))
-    starts = np.concatenate([[0], boundaries])
-    if not np.array_equal(indices[starts], expected):
-        raise ValidationError(
-            f"{path_hint}: draw_index must run 0..n-1 in contiguous blocks"
-        )
-    rows_per_draw = {block.shape[0] for block in blocks}
-    if len(rows_per_draw) != 1:
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(indices)) + 1])
+    if not np.array_equal(indices[starts], np.arange(len(starts))):
+        raise ValidationError(f"{path_hint}: draw_index must run 0..n-1 in contiguous blocks")
+    heights = np.diff(np.append(starts, len(indices)))
+    if np.any(heights != heights[0]):
         raise ValidationError(f"{path_hint}: draws have inconsistent row counts")
-    stacked = np.stack(blocks)
-    return stacked[:, :, 0::2] + 1j * stacked[:, :, 1::2]
+    return data[:, 1:].copy().view(np.complex128).reshape(len(starts), heights[0], -1)
 
 
 def _complex_to_pairs(mat: np.ndarray) -> list:
@@ -153,8 +146,8 @@ def matrix_to_json(mat: np.ndarray) -> str:
 
 
 def values_to_csv(values) -> str:
-    lines = [f"{index},{format_float(float(v))}" for index, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return _format_rows(values, np.arange(len(values)))
 
 
 def values_to_json(values) -> str:
@@ -167,9 +160,10 @@ def param_checksum(mat: np.ndarray) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename; the mode follows the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp_path = os.path.join(directory, f".tmp-{secrets.token_hex(16)}.part")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
             handle.write(text)

@@ -52,6 +52,14 @@ DEFAULT_MIXTURE_SHAPE = 3.0
 DEFAULT_MIXTURE_RATE = 3.0
 
 
+def _require_samples(check: str, n: int) -> None:
+    if check == "normalization" and n < 1:
+        raise InsufficientSample(f"need at least one draw, got {n}")
+    minimum = MIN_COVARIANCE_SAMPLES if check == "normal_covariance" else MIN_CHECK_SAMPLES
+    if check != "normalization" and n < minimum:
+        raise InsufficientSample(f"need n >= {minimum}, got {n}")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Result of a mean-based Monte Carlo check."""
@@ -220,8 +228,7 @@ def normalization_check(
     error, but smaller counts are accepted; the degenerate identity and
     square-frame cases are exact at any sample size.
     """
-    if n < 1:
-        raise InsufficientSample(f"need at least one draw, got {n}")
+    _require_samples("normalization", n)
     frames = dist.sample_uniform_stiefel_batch(ManifoldDims(params.m, params.r), n, rng)
     values = np.exp(dist.cmacg_log_density_batch(params, frames))
     estimate = float(values.mean())
@@ -254,8 +261,7 @@ def unitary_invariance_check(
     paired samples, which is conservative under the null and exactly zero
     for the identity unitary.
     """
-    if n < MIN_CHECK_SAMPLES:
-        raise InsufficientSample(f"need n >= {MIN_CHECK_SAMPLES}, got {n}")
+    _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
     frames = dist.sample_cmacg_batch(params, n, rng)
     if unitary is None:
@@ -321,8 +327,7 @@ def corollary_check(
     independent samples are compared by KS on projection functionals and by
     the Frobenius distance of mean projections against its standard error.
     """
-    if n < MIN_CHECK_SAMPLES:
-        raise InsufficientSample(f"need n >= {MIN_CHECK_SAMPLES}, got {n}")
+    _require_samples("corollary", n)
     transformed_params = dist.transform_parameter(params, transform)
     b = np.asarray(transform, dtype=np.complex128)
     frames_1 = _transformed_orientation_batch(params, b, n, rng)
@@ -350,8 +355,7 @@ def general_class_check(
     under right unitary maps; its orientation must follow the same CMACG
     law.  ``mixture_shape=None`` selects the degenerate mixture (weight one).
     """
-    if n < MIN_CHECK_SAMPLES:
-        raise InsufficientSample(f"need n >= {MIN_CHECK_SAMPLES}, got {n}")
+    _require_samples("general_class", n)
     if mixture_shape is not None and (mixture_shape <= 0 or mixture_rate <= 0):
         raise ValidationError("mixture shape and rate must be positive")
     normal_params = ComplexMatrixNormalParams(params.cov, params.r)
@@ -381,8 +385,7 @@ def normal_covariance_check(
     units; the standard errors use the Gaussian fourth-moment identity under
     the null.
     """
-    if n < MIN_COVARIANCE_SAMPLES:
-        raise InsufficientSample(f"need n >= {MIN_COVARIANCE_SAMPLES}, got {n}")
+    _require_samples("normal_covariance", n)
     m = params.m
     z = dist.sample_complex_matrix_normal_batch(params, n, rng)
     stacked = np.concatenate([z.real, z.imag], axis=1)
@@ -450,6 +453,8 @@ def run_suite(
         raise ValidationError(
             f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
+    for name in selected:  # reject a small n before any check spends time
+        _require_samples(name, n)
     results = []
     for name in selected:
         rng = dist.derive_rng(seed, CHECK_NAMES.index(name))

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -91,6 +93,17 @@ class TestSample:
         assert meta["seed"] == 11
         assert (meta["m"], meta["r"], meta["n"]) == (2, 1, 5)
 
+    def test_output_files_follow_umask(self, tmp_path, param_csv):
+        out = str(tmp_path / "draws.csv")
+        old = os.umask(0o022)
+        try:
+            code = cli.main(["sample", "--r", "1", "--n", "5", "--param", param_csv, "--out", out])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for path in (out, out + ".meta.json"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
     def test_seed_defaults_and_env(self, tmp_path, param_csv, monkeypatch):
         out = str(tmp_path / "draws.csv")
         cli.main(["sample", "--r", "1", "--n", "5", "--param", param_csv, "--out", out])
@@ -178,6 +191,18 @@ class TestVerify:
         )
         assert code == 2
         assert "unknown checks" in capsys.readouterr().err
+
+    def test_small_n_rejected_before_any_check_runs(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the sample size was validated")
+
+        for name in cmacg.verify.CHECK_NAMES:
+            monkeypatch.setattr(cmacg.verify, f"{name}_check", must_not_run)
+        report = tmp_path / "r.json"
+        code = cli.main(["verify", "--n", "10000", "--out", str(report)])
+        assert code == 2
+        assert "need n >= 50000, got 10000" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_subset_run_writes_report(self, tmp_path, capsys):
         report = str(tmp_path / "report.json")
