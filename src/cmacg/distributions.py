@@ -30,7 +30,7 @@ from .errors import (
     SingularTransform,
     ValidationError,
 )
-from .linalg import HermitianPD, StiefelPoint, as_complex_matrix, hermitian_part
+from .linalg import HermitianPD, StiefelPoint, _orientation_batch, as_complex_matrix, hermitian_part
 from .special import ManifoldDims
 
 # Parameter matrices beyond this condition number degrade both the density
@@ -163,27 +163,6 @@ def sample_complex_matrix_normal(
     return sample_complex_matrix_normal_batch(params, 1, rng)[0]
 
 
-def _orientation_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar orientations of a batch of draws, plus a bad-row mask.
-
-    Rows are flagged when the Gram matrix fails the rank gate or the
-    resulting frame misses the semi-unitarity tolerance.
-    """
-    n, m, r = z.shape
-    gram = hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z)
-    eigs, vecs = np.linalg.eigh(gram)
-    floor = (m * linalg.RANK_RTOL) ** 2
-    bad = eigs[:, 0] <= floor * eigs[:, -1]
-    safe = np.where(bad[:, None], 1.0, eigs)
-    inv_sqrt = (vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
-    frames = z @ inv_sqrt
-    residual = np.abs(
-        np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(r)
-    ).max(axis=(1, 2))
-    bad |= residual > linalg.SEMI_UNITARY_ATOL
-    return frames, bad
-
-
 def _orient_with_retry(z: np.ndarray, redraw) -> np.ndarray:
     """Orient a batch, redrawing rank-deficient rows once via ``redraw(k)``."""
     frames, bad = _orientation_batch(z)
@@ -239,18 +218,7 @@ def _frame_array(h, name: str = "frame") -> np.ndarray:
     """
     if isinstance(h, StiefelPoint):
         return h.frame
-    arr = as_complex_matrix(h, name)
-    m, r = arr.shape
-    if m < r:
-        raise DimensionMismatch(f"{name} must have at least as many rows as columns, got {m}x{r}")
-    residual = float(np.abs(arr.conj().T @ arr - np.eye(r)).max())
-    if residual > DENSITY_MANIFOLD_ATOL:
-        raise NotOnManifold(
-            f"{name} is not semi-unitary: residual {residual:.3e} exceeds "
-            f"{DENSITY_MANIFOLD_ATOL:.1e}",
-            residual=residual,
-        )
-    return arr
+    return linalg._frame_from_array(h, name, DENSITY_MANIFOLD_ATOL)
 
 
 def cmacg_log_density(params: CmacgParams, h) -> float:
@@ -258,16 +226,9 @@ def cmacg_log_density(params: CmacgParams, h) -> float:
 
     Equals ``-r*logdet(P) - m*logdet(H^H P^{-1} H)`` for parameter ``P``;
     identically zero for the identity parameter and for square frames.
+    Evaluated by :func:`cmacg_log_density_batch` as a batch of one.
     """
-    frame = _frame_array(h)
-    if frame.shape != (params.m, params.r):
-        raise DimensionMismatch(
-            f"frame shape {frame.shape} does not match parameter dims "
-            f"({params.m}, {params.r})"
-        )
-    inner = hermitian_part(frame.conj().T @ params.cov_inv.mat @ frame)
-    _, logdet_inner = np.linalg.slogdet(inner)
-    return float(-params.r * params.logdet_cov - params.m * logdet_inner)
+    return float(cmacg_log_density_batch(params, _frame_array(h)[None])[0])
 
 
 def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarray:
@@ -283,8 +244,7 @@ def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarr
         )
     if not np.all(np.isfinite(frames)):
         raise ValidationError("frames contain NaN or infinite entries")
-    conj_t = np.swapaxes(frames.conj(), 1, 2)
-    residuals = np.abs(conj_t @ frames - np.eye(params.r)).max(axis=(1, 2))
+    residuals = linalg._semi_unitary_residual(frames)
     if residuals.max() > DENSITY_MANIFOLD_ATOL:
         index = int(np.argmax(residuals > DENSITY_MANIFOLD_ATOL))
         raise NotOnManifold(
@@ -292,7 +252,7 @@ def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarr
             f"exceeds {DENSITY_MANIFOLD_ATOL:.1e}",
             residual=float(residuals[index]),
         )
-    inner = hermitian_part(conj_t @ (params.cov_inv.mat @ frames))
+    inner = hermitian_part(np.swapaxes(frames.conj(), 1, 2) @ (params.cov_inv.mat @ frames))
     _, logdet_inner = np.linalg.slogdet(inner)
     return -params.r * params.logdet_cov - params.m * logdet_inner
 
@@ -336,9 +296,9 @@ def cmacg_log_density_of_transformed(params: CmacgParams, transform, h_y) -> flo
 
     Forms ``W = B^{-1} H_Y``, takes its orientation, and evaluates
     ``-r*logdet(B^H B) - m*logdet(W^H W)`` plus the base CMACG log-density at
-    that orientation.  Must agree with ``cmacg_log_density`` under
-    :func:`transform_parameter`; the agreement of the two code paths is one
-    of the verified identities.
+    that orientation, with ``logdet(B^H B) = 2*log|det B|``.  Must agree with
+    ``cmacg_log_density`` under :func:`transform_parameter`; the agreement of
+    the two code paths is one of the verified identities.
     """
     b = _validated_transform(transform, params.m)
     frame = _frame_array(h_y, "h_y")
@@ -349,10 +309,9 @@ def cmacg_log_density_of_transformed(params: CmacgParams, transform, h_y) -> flo
         )
     w = np.linalg.solve(b, frame)
     orientation, gram = linalg.polar_decompose(w)
-    bhb = hermitian_part(b.conj().T @ b)
-    _, logdet_bhb = np.linalg.slogdet(bhb)
+    _, log_abs_det_b = np.linalg.slogdet(b)
     return float(
-        -params.r * logdet_bhb
+        -2 * params.r * log_abs_det_b
         - params.m * linalg.logdet_hpd(gram)
         + cmacg_log_density(params, orientation)
     )

@@ -6,6 +6,11 @@ principal Hermitian square roots (a coupled Newton iteration and an
 eigendecomposition oracle), inverse square roots, polar decomposition and
 log-determinants.
 
+One kernel per operation, which single-matrix callers use as a batch of
+one: ``_semi_unitary_residual`` (max|H^H H - I| per frame), ``_frame_from_array``
+(raw frames, at the caller's tolerance) and ``_orientation_batch`` (the polar
+orientation Z (Z^H Z)^{-1/2} for polar_decompose and the samplers).
+
 All operations are pure functions on immutable values; wrapped arrays are
 marked read-only so values can be shared freely between threads.
 """
@@ -100,6 +105,27 @@ class HermitianPD:
         return f"HermitianPD(dim={self.dim})"
 
 
+def _semi_unitary_residual(frames: np.ndarray) -> np.ndarray:
+    """max|H^H H - I| of each frame in a stack shaped (..., m, r)."""
+    r = frames.shape[-1]
+    return np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(r)).max(axis=(-2, -1))
+
+
+def _frame_from_array(value, name: str, atol: float) -> np.ndarray:
+    """A raw array as an m-by-r complex frame (m >= r), semi-unitary within ``atol``."""
+    arr = as_complex_matrix(value, name)
+    m, r = arr.shape
+    if m < r:
+        raise DimensionMismatch(f"{name} must have at least as many rows as columns, got {m}x{r}")
+    residual = float(_semi_unitary_residual(arr))
+    if residual > atol:
+        raise NotOnManifold(
+            f"{name} is not semi-unitary: residual {residual:.3e} exceeds {atol:.1e}",
+            residual=residual,
+        )
+    return arr
+
+
 class StiefelPoint:
     """A validated point on the complex Stiefel manifold.
 
@@ -113,17 +139,7 @@ class StiefelPoint:
         if isinstance(frame, StiefelPoint):
             self.frame = frame.frame
             return
-        arr = as_complex_matrix(frame, name)
-        m, r = arr.shape
-        if m < r:
-            raise ValidationError(f"{name} must have at least as many rows as columns, got {m}x{r}")
-        residual = _max_abs(arr.conj().T @ arr - np.eye(r))
-        if residual > SEMI_UNITARY_ATOL:
-            raise NotOnManifold(
-                f"{name} is not semi-unitary: residual {residual:.3e} exceeds "
-                f"{SEMI_UNITARY_ATOL:.1e}",
-                residual=residual,
-            )
+        arr = _frame_from_array(frame, name, SEMI_UNITARY_ATOL)
         arr.setflags(write=False)
         self.frame = arr
 
@@ -217,10 +233,6 @@ def hermitian_sqrt_newton(
     return HermitianPD(best, name="newton square root")
 
 
-def _inv_sqrt_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return hermitian_part((vecs / np.sqrt(eigs)) @ vecs.conj().T)
-
-
 def hermitian_inv_sqrt(a: HermitianPD) -> HermitianPD:
     """Inverse principal square root: R with R a R = I.
 
@@ -237,7 +249,26 @@ def hermitian_inv_sqrt(a: HermitianPD) -> HermitianPD:
         raise IllConditioned(
             f"condition number {cond:.3e} exceeds {INV_SQRT_MAX_COND:.1e}"
         )
-    return HermitianPD(_inv_sqrt_from_eigh(eigs, vecs), name="inverse square root")
+    inv_root = hermitian_part((vecs / np.sqrt(eigs)) @ vecs.conj().T)
+    return HermitianPD(inv_root, name="inverse square root")
+
+
+def _orientation_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar orientations of a batch of draws, plus a bad-row mask.
+
+    Rows are flagged when the Gram matrix fails the rank gate or the
+    resulting frame misses the semi-unitarity tolerance.
+    """
+    m = z.shape[1]
+    gram = hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z)
+    eigs, vecs = np.linalg.eigh(gram)
+    floor = (m * RANK_RTOL) ** 2
+    bad = eigs[:, 0] <= floor * eigs[:, -1]
+    safe = np.where(bad[:, None], 1.0, eigs)
+    inv_sqrt = (vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
+    frames = z @ inv_sqrt
+    bad |= _semi_unitary_residual(frames) > SEMI_UNITARY_ATOL
+    return frames, bad
 
 
 def polar_decompose(z) -> tuple[StiefelPoint, HermitianPD]:
@@ -263,10 +294,11 @@ def polar_decompose(z) -> tuple[StiefelPoint, HermitianPD]:
             f"smallest singular value {svals[-1]:.3e} below rank threshold "
             f"{m * RANK_RTOL * svals[0]:.3e}"
         )
+    frames, _ = _orientation_batch(arr[None])
     try:
+        # a row the kernel flags also fails one of these two validations
         gram = HermitianPD(arr.conj().T @ arr, name="gram matrix")
-        eigs, vecs = np.linalg.eigh(gram.mat)
-        orientation = StiefelPoint(arr @ _inv_sqrt_from_eigh(eigs, vecs), name="orientation")
+        orientation = StiefelPoint(frames[0], name="orientation")
     except ValidationError as exc:
         # passes the singular-value gate but is numerically too close to rank
         # deficiency for a stable polar factor

@@ -29,6 +29,9 @@ from .errors import ValidationError
 
 
 _CSV_BLOCK_CELLS = 1 << 14  # cells per step of the CSV codec: bounds its temporaries, not n
+# Characters per write: the encoded copy of a text is one slice of it, so
+# writing a large file needs no second buffer the size of the whole text.
+_WRITE_CHARS = 1 << 20
 
 
 def _format_rows(cells: np.ndarray, index: np.ndarray | None = None) -> str:
@@ -109,17 +112,10 @@ def draws_from_csv(text: str, path_hint: str = "draws file") -> np.ndarray:
     return data[:, 1:].copy().view(np.complex128).reshape(len(starts), heights[0], -1)
 
 
-def _complex_to_pairs(mat: np.ndarray) -> list:
-    return [[[value.real, value.imag] for value in row] for row in np.asarray(mat)]
-
-
-def _pairs_to_complex(nested, path_hint: str) -> np.ndarray:
-    arr = np.asarray(nested, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ValidationError(
-            f"{path_hint}: expected rows of [re, im] pairs, got shape {arr.shape}"
-        )
-    return arr[..., 0] + 1j * arr[..., 1]
+def _complex_to_pairs(a: np.ndarray) -> list:
+    """Complex array as nested lists with each entry an [re, im] pair of Python floats."""
+    a = np.ascontiguousarray(a, np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def dump_json(payload) -> str:
@@ -127,7 +123,7 @@ def dump_json(payload) -> str:
 
 
 def draws_to_json(draws: np.ndarray) -> str:
-    return dump_json({"draws": [_complex_to_pairs(mat) for mat in np.asarray(draws)]})
+    return dump_json({"draws": _complex_to_pairs(draws)})
 
 
 def draws_from_json(text: str, path_hint: str = "draws file") -> np.ndarray:
@@ -138,7 +134,15 @@ def draws_from_json(text: str, path_hint: str = "draws file") -> np.ndarray:
         raise ValidationError(f"{path_hint}: not a draws JSON document: {exc}") from exc
     if not nested:
         raise ValidationError(f"{path_hint}: empty draws list")
-    return np.stack([_pairs_to_complex(mat, path_hint) for mat in nested])
+    try:
+        arr = np.asarray(nested, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{path_hint}: draws are not equally shaped numbers: {exc}") from exc
+    if arr.ndim != 4 or arr.shape[-1] != 2:
+        raise ValidationError(
+            f"{path_hint}: expected draws of rows of [re, im] pairs, got shape {arr.shape}"
+        )
+    return arr.view(np.complex128)[..., 0]
 
 
 def matrix_to_json(mat: np.ndarray) -> str:
@@ -166,7 +170,8 @@ def write_atomic(path: str, text: str) -> None:
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -169,6 +169,25 @@ class TestDensity:
         err = capsys.readouterr().err
         assert "frame 1" in err and "residual" in err
 
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            [[[[1, 0]], [[0, 0]]], [[[1, 0], [0, 0]]]],  # draws of different shapes
+            [[[[1, 0], [0, 0]], [[0, 0]]]],  # ragged rows inside one draw
+            [[[[1, 0]], [["zero", 0]]]],  # non-numeric cell
+        ],
+    )
+    def test_malformed_json_frames_exit_two(self, tmp_path, param_csv, capsys, draws):
+        frames = tmp_path / "frames.json"
+        frames.write_text(json.dumps({"draws": draws}))
+        out = str(tmp_path / "dens.json")
+        code = cli.main(["density", "--param", param_csv, "--input", str(frames),
+                         "--format", "json", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {frames}: ") and "Traceback" not in err
+        assert not os.path.exists(out)
+
 
 class TestVerify:
     def test_square_frame_normalization_small_n(self, tmp_path, capsys):

@@ -316,6 +316,25 @@ class TestLogDensity:
         scalar = [cmacg_log_density(params, f) for f in frames]
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
 
+    def test_single_frame_is_a_batch_of_one(self):
+        rng = np.random.default_rng(18)
+        params = CmacgParams(random_hpd(rng, 4, 100.0), 2)
+        for _ in range(10):
+            frame = random_frame(rng, 4, 2)
+            assert cmacg_log_density(params, frame) == cmacg_log_density_batch(params, frame[None])[0]
+
+    def test_raw_frames_keep_the_looser_tolerance(self):
+        # residual ~1e-9: outside StiefelPoint's 1e-10, inside the 1e-8 for raw arrays
+        rng = np.random.default_rng(19)
+        frame = random_frame(rng, 3, 2) * (1 + 5e-10)
+        residual = np.abs(frame.conj().T @ frame - np.eye(2)).max()
+        assert 1e-10 < residual < 1e-8
+        with pytest.raises(NotOnManifold):
+            StiefelPoint(frame)
+        params = CmacgParams(random_hpd(rng, 3, 10.0), 2)
+        assert np.isfinite(cmacg_log_density(params, frame))
+        assert np.trace(projection_matrix(frame)).real == pytest.approx(2.0, abs=1e-8)
+
     def test_batch_reports_offending_row(self):
         params = diag_params([2.0, 1.0], 1)
         frames = np.stack([[[1.0], [0.0]], [[1.01], [0.0]]]).astype(complex)

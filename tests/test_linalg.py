@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmacg import (
+    DimensionMismatch,
     HermitianPD,
     IllConditioned,
     NonConvergence,
@@ -63,7 +64,7 @@ class TestStiefelPoint:
         assert excinfo.value.residual > 1e-10
 
     def test_rejects_wide(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionMismatch, match="at least as many rows"):
             StiefelPoint(np.ones((2, 3)))
 
 
@@ -203,6 +204,21 @@ class TestPolarDecompose:
         z = np.array([[1.0, 1.0], [1e-15, 0.0], [0.0, 1e-15]])
         with pytest.raises(RankDeficient):
             polar_decompose(z)
+
+    @pytest.mark.parametrize(
+        "ratio, cause", [(1e-5, NotOnManifold), (1e-8, ValidationError), (1e-11, ValidationError)]
+    )
+    def test_passes_svd_gate_but_fails_factor_validation(self, ratio, cause):
+        # sigma_min/sigma_max stays above the m * 1e-12 singular-value gate, but
+        # the polar factor misses 1e-10 (ratio 1e-5) or the Gram matrix is not
+        # numerically PD (smaller ratios); both surface as RankDeficient
+        rng = np.random.default_rng(8)
+        z = random_frame(rng, 5, 3) @ np.diag([1.0, 0.5, ratio]) @ random_unitary(rng, 3)
+        svals = np.linalg.svd(z, compute_uv=False)
+        assert svals[-1] > 5 * 1e-12 * svals[0]
+        with pytest.raises(RankDeficient) as excinfo:
+            polar_decompose(z)
+        assert type(excinfo.value.__cause__) is cause
 
 
 class TestLogdet:

@@ -36,6 +36,16 @@ def ref_values_to_csv(values):
     return "".join(f"{index},{float(v):.17g}\n" for index, v in enumerate(values))
 
 
+# Reference JSON encoder: one [value.real, value.imag] pair of numpy scalars
+# per entry, the layout the JSON files have always had.
+def ref_pairs(mat):
+    return [[[value.real, value.imag] for value in row] for row in np.asarray(mat, dtype=complex)]
+
+
+def ref_dump(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 SPECIAL = [-0.0, 5e-324, 1e300, -1e-300, 1.0, -3.0, 0.0, 2.0**53, 0.1, -2.5e-310]
 
 
@@ -213,6 +223,30 @@ class TestDrawsJson:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             ser.draws_from_json('{"draws": []}')
+
+    @pytest.mark.parametrize("draws", [[[[1, 0]]], [[[[1, 0, 0]]]]])
+    def test_rejects_draws_not_of_pairs(self, draws):
+        with pytest.raises(ValidationError, match="^frames.json: "):
+            ser.draws_from_json(json.dumps({"draws": draws}), path_hint="frames.json")
+
+
+class TestJsonGoldenBytes:
+    @pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (4, 3)])
+    def test_draws_match_reference_and_round_trip(self, m, r):
+        draws = with_specials(random_draws(7, m, r, seed=m + r))
+        draws[-1, -1, -1] = complex(-0.0, 1.0)  # the sign of a zero survives the round trip
+        text = ser.draws_to_json(draws)
+        assert text == ref_dump({"draws": [ref_pairs(mat) for mat in draws]})
+        assert ser.draws_from_json(text).tobytes() == draws.tobytes()
+
+    def test_matrix_matches_reference(self):
+        mat = with_specials(random_draws(1, 4, 3, seed=9)[0])
+        mat[0, 0] = complex(np.nan, np.inf)
+        mat[1, 1] = complex(-np.inf, -0.0)
+        assert ser.matrix_to_json(mat) == ref_dump({"matrix": ref_pairs(mat)})
+
+    def test_real_input_is_written_as_complex(self):
+        assert ser.draws_to_json(np.ones((1, 1, 1))) == '{"draws":[[[[1.0,0.0]]]]}\n'
 
 
 class TestChecksumAndSidecar:
