@@ -32,13 +32,7 @@ from .distributions import (
 )
 from .errors import NumericalError, ValidationError
 from .linalg import HermitianPD, hermitian_part, hermitian_sqrt_newton
-from .verify import (
-    CHECK_NAMES,
-    DEFAULT_LEVEL,
-    TwoSampleResult,
-    VerificationReport,
-    run_suite,
-)
+from .verify import CHECK_NAMES, DEFAULT_LEVEL, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -151,31 +145,6 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _report_entry(name: str, outcome) -> dict:
-    if isinstance(outcome, VerificationReport):
-        return {
-            "check_name": outcome.check_name,
-            "kind": "verification_report",
-            "n_samples": outcome.n_samples,
-            "estimate": outcome.estimate,
-            "std_error": outcome.std_error,
-            "target": outcome.target,
-            "verdict": outcome.verdict,
-            "details": outcome.details,
-        }
-    assert isinstance(outcome, TwoSampleResult)
-    return {
-        "check_name": name,
-        "kind": "two_sample",
-        "statistic": outcome.statistic,
-        "critical_value": outcome.critical_value,
-        "n1": outcome.n1,
-        "n2": outcome.n2,
-        "functional_description": outcome.functional_description,
-        "verdict": "pass" if outcome.passed else "fail",
-    }
-
-
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
@@ -192,27 +161,24 @@ def cmd_verify(args) -> int:
         if not checks:
             raise ValidationError("--checks is empty")
     results = run_suite(params, n=args.n, seed=seed, checks=checks, level=args.level)
-    entries = [_report_entry(name, outcome) for name, outcome in results]
+    entries = [
+        {"check_name": name, "kind": outcome.kind, "statistic": outcome.statistic,
+         "threshold": outcome.threshold, "verdict": outcome.verdict, "details": outcome.details}
+        for name, outcome in results
+    ]
     ser.write_atomic(args.out, ser.dump_json(entries))
     ser.write_sidecar(
         args.out,
         _base_metadata(seed, params.m, params.r, args.n, params.cov.mat, started),
     )
-    all_passed = True
     for name, outcome in results:
         status = "pass" if outcome.passed else "FAIL"
-        if isinstance(outcome, VerificationReport):
-            summary = (
-                f"estimate={outcome.estimate:.6g} target={outcome.target:g} "
-                f"se={outcome.std_error:.3g}"
-            )
-        else:
-            summary = (
-                f"statistic={outcome.statistic:.6g} critical={outcome.critical_value:.6g}"
-            )
-        print(f"{name}: {status} ({summary})")
-        all_passed &= outcome.passed
-    return EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
+        print(
+            f"{name}: {status} (statistic={outcome.statistic:.6g} "
+            f"threshold={outcome.threshold:.6g})"
+        )
+    passed = all(outcome.passed for _, outcome in results)
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 def cmd_sqrt(args) -> int:

@@ -1,8 +1,8 @@
 """Monte Carlo verification harness.
 
 Each distributional theorem behind the CMACG machinery becomes a seeded
-statistical check with a reported estimate, standard error or critical
-value, and a pass/fail verdict:
+statistical check that judges one statistic against a threshold and
+returns a ``CheckResult``:
 
 - ``normalization_check``: the density integrates to one against uniform
   draws (uniform importance sampling; the uniform sampler is exact).
@@ -18,9 +18,11 @@ value, and a pass/fail verdict:
 Distributions on the manifold are compared through scalar functionals of
 the projection matrix (right-unitary invariant, hence well defined on the
 subspace itself), several randomized functionals per check with Bonferroni
-correction across them.  Mean-based verdicts use |estimate - target| <=
-k * SE + atol, where the small absolute floor covers degenerate cases whose
-integrand is deterministic and the standard error vanishes.
+correction across them.  Each such subtest, a KS call included, is itself a
+two-sample ``CheckResult``, and the check reports the one with the worst
+margin.  Mean-based verdicts use |estimate - target| <= k * SE + atol, where
+the small absolute floor covers degenerate cases whose integrand is
+deterministic and the standard error vanishes.
 
 Every check is deterministic given its inputs and generator state.
 """
@@ -28,7 +30,7 @@ Every check is deterministic given its inputs and generator state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,15 +62,25 @@ def _require_samples(check: str, n: int) -> None:
         raise InsufficientSample(f"need n >= {minimum}, got {n}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Result of a mean-based Monte Carlo check."""
+def _require_level(level: float) -> None:
+    if not 0.0 < level < 1.0:  # false for NaN as well
+        raise ValidationError(f"level must be in (0, 1), got {level}")
 
-    check_name: str
-    n_samples: int
-    estimate: float
-    std_error: float
-    target: float
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a check or subtest: a statistic judged against a threshold.
+
+    The check that builds it decides ``verdict`` by its own rule, which
+    ``kind`` names: a ``"verification_report"`` passes at statistic <=
+    threshold, a ``"two_sample"`` comparison only at statistic < threshold.
+    ``details`` carries whatever else the check measured.
+    """
+
+    name: str
+    kind: str
+    statistic: float
+    threshold: float
     verdict: str
     details: dict = field(default_factory=dict)
 
@@ -76,37 +88,25 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-
-@dataclass(frozen=True)
-class TwoSampleResult:
-    """Result of a two-sample comparison; passes when statistic < critical value.
-
-    For checks that run several subtests, the reported statistic and
-    critical value belong to the subtest with the worst margin, so the
-    pass/fail decision of the whole check is readable from this one pair.
-    """
-
-    statistic: float
-    critical_value: float
-    n1: int
-    n2: int
-    functional_description: str
-
     @property
-    def passed(self) -> bool:
-        return self.statistic < self.critical_value
+    def margin(self) -> float:
+        return self.statistic / self.threshold if self.threshold > 0 else math.inf
+
+
+def _two_sample(name: str, statistic: float, threshold: float, **details) -> CheckResult:
+    verdict = "pass" if statistic < threshold else "fail"
+    return CheckResult(name, "two_sample", statistic, threshold, verdict, details)
 
 
 def ks_critical_value(n1: int, n2: int, level: float = DEFAULT_LEVEL) -> float:
     """Asymptotic two-sample Kolmogorov-Smirnov critical value."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must be in (0, 1), got {level}")
+    _require_level(level)
     c = math.sqrt(-0.5 * math.log(level / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def ks_two_sample(x, y, level: float = DEFAULT_LEVEL, description: str = "") -> TwoSampleResult:
-    """Two-sample Kolmogorov-Smirnov statistic sup|F1 - F2| with critical value."""
+def ks_two_sample(x, y, level: float = DEFAULT_LEVEL, description: str = "") -> CheckResult:
+    """Two-sample Kolmogorov-Smirnov statistic sup|F1 - F2| against its critical value."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.size < MIN_KS_SAMPLES or y.size < MIN_KS_SAMPLES:
@@ -119,35 +119,21 @@ def ks_two_sample(x, y, level: float = DEFAULT_LEVEL, description: str = "") -> 
     pooled = np.concatenate([xs, ys])
     cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
     cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
-    statistic = float(np.abs(cdf_x - cdf_y).max())
-    return TwoSampleResult(
-        statistic=statistic,
-        critical_value=ks_critical_value(xs.size, ys.size, level),
+    return _two_sample(
+        description or f"two-sample KS at level {level:g}",
+        float(np.abs(cdf_x - cdf_y).max()),
+        ks_critical_value(xs.size, ys.size, level),
         n1=int(xs.size),
         n2=int(ys.size),
-        functional_description=description or f"two-sample KS at level {level:g}",
     )
 
 
-@dataclass(frozen=True)
-class _Subtest:
-    name: str
-    statistic: float
-    threshold: float
-
-    @property
-    def margin(self) -> float:
-        return self.statistic / self.threshold if self.threshold > 0 else math.inf
-
-
-def _worst_subtest(subtests: list[_Subtest], n1: int, n2: int) -> TwoSampleResult:
+def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
+    """The subtest with the worst margin, reported under the check's name."""
     worst = max(subtests, key=lambda s: s.margin)
-    return TwoSampleResult(
-        statistic=worst.statistic,
-        critical_value=worst.threshold,
-        n1=n1,
-        n2=n2,
-        functional_description=f"{worst.name}; worst margin of {len(subtests)} subtests",
+    description = f"{worst.name}; worst margin of {len(subtests)} subtests"
+    return replace(
+        worst, name=name, details={"n1": n, "n2": n, "functional_description": description}
     )
 
 
@@ -178,7 +164,7 @@ def _compare_frame_samples(
     level: float,
     k: float,
     n_functionals: int,
-) -> list[_Subtest]:
+) -> list[CheckResult]:
     """KS on randomized projection functionals plus mean-projection distance."""
     m = frames_1.shape[1]
     n1, n2 = frames_1.shape[0], frames_2.shape[0]
@@ -186,17 +172,13 @@ def _compare_frame_samples(
     per_functional_level = level / n_functionals
     for j in range(n_functionals):
         weight = _random_hermitian(m, rng)
-        result = ks_two_sample(
-            _projection_functional(frames_1, weight),
-            _projection_functional(frames_2, weight),
-            level=per_functional_level,
-        )
         subtests.append(
-            _Subtest(
-                f"KS on projection functional {j + 1} (Bonferroni level "
+            ks_two_sample(
+                _projection_functional(frames_1, weight),
+                _projection_functional(frames_2, weight),
+                level=per_functional_level,
+                description=f"KS on projection functional {j + 1} (Bonferroni level "
                 f"{per_functional_level:g})",
-                result.statistic,
-                result.critical_value,
             )
         )
     proj_1, proj_2 = _projections(frames_1), _projections(frames_2)
@@ -207,7 +189,7 @@ def _compare_frame_samples(
     )
     std_error = math.sqrt(float(entry_var.sum()))
     subtests.append(
-        _Subtest(
+        _two_sample(
             f"mean projection Frobenius distance vs {k:g} SE",
             float(np.linalg.norm(distance)),
             k * std_error + MEAN_CHECK_ATOL,
@@ -218,7 +200,7 @@ def _compare_frame_samples(
 
 def normalization_check(
     params: CmacgParams, n: int, rng: np.random.Generator, k: float = DEFAULT_K
-) -> VerificationReport:
+) -> CheckResult:
     """Estimate the integral of the density against uniform draws; target one.
 
     Uniform importance sampling: with draws from the exact uniform sampler
@@ -233,15 +215,16 @@ def normalization_check(
     values = np.exp(dist.cmacg_log_density_batch(params, frames))
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    passed = abs(estimate - 1.0) <= k * std_error + MEAN_CHECK_ATOL
-    return VerificationReport(
-        check_name="normalization",
-        n_samples=n,
-        estimate=estimate,
-        std_error=std_error,
-        target=1.0,
-        verdict="pass" if passed else "fail",
-        details={"k": k, "atol": MEAN_CHECK_ATOL, "m": params.m, "r": params.r},
+    statistic = abs(estimate - 1.0)
+    threshold = k * std_error + MEAN_CHECK_ATOL
+    return CheckResult(
+        "normalization",
+        "verification_report",
+        statistic,
+        threshold,
+        "pass" if statistic <= threshold else "fail",
+        {"n_samples": n, "estimate": estimate, "std_error": std_error, "target": 1.0,
+         "k": k, "atol": MEAN_CHECK_ATOL, "m": params.m, "r": params.r},
     )
 
 
@@ -252,7 +235,7 @@ def unitary_invariance_check(
     level: float = DEFAULT_LEVEL,
     unitary: np.ndarray | None = None,
     n_functionals: int = DEFAULT_FUNCTIONALS,
-) -> TwoSampleResult:
+) -> CheckResult:
     """Compare functionals of draws against the same draws right-multiplied.
 
     Projection functionals are right-invariant pointwise, so that subtest
@@ -273,7 +256,7 @@ def unitary_invariance_check(
     turned = _projection_functional(rotated, weight)
     scale = max(1.0, float(np.abs(base).max()))
     subtests = [
-        _Subtest(
+        _two_sample(
             "pointwise identity of projection functional",
             float(np.abs(turned - base).max()),
             1e-10 * scale,
@@ -283,32 +266,16 @@ def unitary_invariance_check(
     for j in range(n_functionals):
         left = _random_hermitian(m, rng)
         right = _random_hermitian(r, rng)
-        result = ks_two_sample(
-            _bilinear_functional(frames, left, right),
-            _bilinear_functional(rotated, left, right),
-            level=per_functional_level,
-        )
         subtests.append(
-            _Subtest(
-                f"KS on bilinear functional {j + 1} (paired draws, Bonferroni "
-                f"level {per_functional_level:g})",
-                result.statistic,
-                result.critical_value,
+            ks_two_sample(
+                _bilinear_functional(frames, left, right),
+                _bilinear_functional(rotated, left, right),
+                level=per_functional_level,
+                description=f"KS on bilinear functional {j + 1} (paired draws, "
+                f"Bonferroni level {per_functional_level:g})",
             )
         )
-    return _worst_subtest(subtests, n, n)
-
-
-def _transformed_orientation_batch(
-    params: CmacgParams, transform: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Orientations of ``B @ Z`` for normal draws Z, using full draws."""
-    normal_params = ComplexMatrixNormalParams(params.cov, params.r)
-
-    def draw(k: int) -> np.ndarray:
-        return transform @ dist.sample_complex_matrix_normal_batch(normal_params, k, rng)
-
-    return dist._orient_with_retry(draw(n), draw)
+    return _worst_subtest("unitary_invariance", subtests, n)
 
 
 def corollary_check(
@@ -319,7 +286,7 @@ def corollary_check(
     level: float = DEFAULT_LEVEL,
     k: float = DEFAULT_K,
     n_functionals: int = DEFAULT_FUNCTIONALS,
-) -> TwoSampleResult:
+) -> CheckResult:
     """Orientations of transformed draws vs direct draws under the new parameter.
 
     Side one draws full matrices, transforms them and takes orientations;
@@ -330,10 +297,15 @@ def corollary_check(
     _require_samples("corollary", n)
     transformed_params = dist.transform_parameter(params, transform)
     b = np.asarray(transform, dtype=np.complex128)
-    frames_1 = _transformed_orientation_batch(params, b, n, rng)
+    normal_params = ComplexMatrixNormalParams(params.cov, params.r)
+
+    def draw(count: int) -> np.ndarray:
+        return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
+
+    frames_1 = dist._orient_with_retry(draw(n), draw)
     frames_2 = dist.sample_cmacg_batch(transformed_params, n, rng)
     return _worst_subtest(
-        _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals), n, n
+        "corollary", _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals), n
     )
 
 
@@ -346,7 +318,7 @@ def general_class_check(
     level: float = DEFAULT_LEVEL,
     k: float = DEFAULT_K,
     n_functionals: int = DEFAULT_FUNCTIONALS,
-) -> TwoSampleResult:
+) -> CheckResult:
     """Orientations of scale-mixture draws vs direct CMACG draws.
 
     Side one divides each normal draw by the square root of an independent
@@ -370,13 +342,15 @@ def general_class_check(
     frames_1 = dist._orient_with_retry(draw(n), draw)
     frames_2 = dist.sample_cmacg_batch(params, n, rng)
     return _worst_subtest(
-        _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals), n, n
+        "general_class",
+        _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals),
+        n,
     )
 
 
 def normal_covariance_check(
     params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator, k: float = DEFAULT_K
-) -> VerificationReport:
+) -> CheckResult:
     """Empirical covariance of the stacked real column vector vs its target.
 
     The target block matrix is assembled inline from the column covariance,
@@ -399,15 +373,14 @@ def normal_covariance_check(
     z_scores = np.abs(empirical - target) / std_error
     worst = int(np.argmax(z_scores))
     max_z = float(z_scores.flat[worst])
-    return VerificationReport(
-        check_name="normal_covariance",
-        n_samples=n,
-        estimate=max_z,
-        std_error=1.0,
-        target=0.0,
-        verdict="pass" if max_z <= k else "fail",
-        details={
-            "k": k,
+    return CheckResult(
+        "normal_covariance",
+        "verification_report",
+        max_z,
+        k,
+        "pass" if max_z <= k else "fail",
+        {
+            "n_samples": n,
             "n_column_vectors": int(n_columns),
             "worst_entry": [int(i) for i in np.unravel_index(worst, z_scores.shape)],
         },
@@ -441,7 +414,7 @@ def run_suite(
     level: float = DEFAULT_LEVEL,
     k: float = DEFAULT_K,
     transform=None,
-) -> list[tuple[str, VerificationReport | TwoSampleResult]]:
+) -> list[tuple[str, CheckResult]]:
     """Run the selected checks, each on its own stream derived from the seed.
 
     A check's stream depends only on (seed, its fixed lane index), so a
@@ -453,7 +426,8 @@ def run_suite(
         raise ValidationError(
             f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
-    for name in selected:  # reject a small n before any check spends time
+    _require_level(level)  # reject bad input before any check spends time
+    for name in selected:
         _require_samples(name, n)
     results = []
     for name in selected:

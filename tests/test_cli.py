@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cmacg import StiefelPoint
+from cmacg import CmacgParams, StiefelPoint
 import cmacg.cli as cli
 import cmacg.serialization as ser
 import cmacg.verify
@@ -201,7 +201,7 @@ class TestVerify:
         assert code == 0
         entries = json.load(open(report))
         assert entries[0]["verdict"] == "pass"
-        assert abs(entries[0]["estimate"] - 1.0) <= 1e-12
+        assert abs(entries[0]["details"]["estimate"] - 1.0) <= 1e-12
 
     def test_unknown_check(self, tmp_path, capsys):
         code = cli.main(
@@ -222,6 +222,53 @@ class TestVerify:
         assert code == 2
         assert "need n >= 50000, got 10000" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("level", ["0", "2", "nan"])
+    def test_bad_level_rejected_before_any_check_runs(self, tmp_path, capsys, monkeypatch, level):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the level was validated")
+
+        for name in cmacg.verify.CHECK_NAMES:
+            monkeypatch.setattr(cmacg.verify, f"{name}_check", must_not_run)
+        report = tmp_path / "r.json"
+        code = cli.main(["verify", "--checks", "normalization,unitary_invariance",
+                         "--level", level, "--out", str(report)])
+        assert code == 2
+        assert "level must be in (0, 1)" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_report_schema(self, tmp_path, capsys):
+        report = str(tmp_path / "report.json")
+        code = cli.main(["verify", "--uniform", "--m", "2", "--r", "1", "--n", "50000",
+                         "--seed", "5", "--out", report])
+        entries = json.load(open(report))
+        params = CmacgParams(np.eye(2, dtype=complex), 1)
+        results = cmacg.verify.run_suite(params, n=50000, seed=5)
+        assert code == (0 if all(outcome.passed for _, outcome in results) else 1)
+        two_sample = {"n1", "n2", "functional_description"}
+        details = {
+            "normalization": {"n_samples", "estimate", "std_error", "target", "k", "atol",
+                              "m", "r"},
+            "unitary_invariance": two_sample,
+            "corollary": two_sample,
+            "general_class": two_sample,
+            "normal_covariance": {"n_samples", "n_column_vectors", "worst_entry"},
+        }
+        assert [e["check_name"] for e in entries] == list(details)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(entries)
+        for entry, (name, outcome), line in zip(entries, results, lines):
+            assert set(entry) == {"check_name", "kind", "statistic", "threshold", "verdict",
+                                  "details"}
+            assert set(entry["details"]) == details[name]
+            assert entry == {"check_name": outcome.name, "kind": outcome.kind,
+                             "statistic": outcome.statistic, "threshold": outcome.threshold,
+                             "verdict": outcome.verdict, "details": outcome.details}
+            mean_based = name in ("normalization", "normal_covariance")
+            assert entry["kind"] == ("verification_report" if mean_based else "two_sample")
+            status = "pass" if outcome.passed else "FAIL"
+            assert line == (f"{name}: {status} (statistic={outcome.statistic:.6g} "
+                            f"threshold={outcome.threshold:.6g})")
 
     def test_subset_run_writes_report(self, tmp_path, capsys):
         report = str(tmp_path / "report.json")
@@ -257,9 +304,9 @@ class TestVerify:
         assert all(e["verdict"] == "pass" for e in entries)
 
     def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
-        failing = cmacg.verify.VerificationReport(
-            check_name="normalization", n_samples=10, estimate=2.0,
-            std_error=0.1, target=1.0, verdict="fail", details={},
+        failing = cmacg.verify.CheckResult(
+            name="normalization", kind="verification_report", statistic=1.0,
+            threshold=0.4, verdict="fail", details={},
         )
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [("normalization", failing)])
         code = cli.main(

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from cmacg import (
+    CheckResult,
     CmacgParams,
     ComplexMatrixNormalParams,
     InsufficientSample,
@@ -61,7 +64,7 @@ class TestKsTwoSample:
     def test_critical_value_constant(self):
         # the asymptotic 1% coefficient is 1.628 to three decimals
         result = ks_two_sample(np.arange(1000.0), np.arange(1000.0))
-        coefficient = result.critical_value / np.sqrt(2000.0 / (1000.0 * 1000.0))
+        coefficient = result.threshold / np.sqrt(2000.0 / (1000.0 * 1000.0))
         assert coefficient == pytest.approx(1.628, abs=5e-4)
 
     def test_null_calibration_repeated_seeds(self):
@@ -79,21 +82,21 @@ class TestNormalizationCheck:
         params = CmacgParams.uniform(ManifoldDims(3, 2))
         report = normalization_check(params, 2000, make_rng(1))
         assert report.passed
-        assert abs(report.estimate - 1.0) <= 1e-12
-        assert report.std_error <= 1e-12
+        assert abs(report.details["estimate"] - 1.0) <= 1e-12
+        assert report.details["std_error"] <= 1e-12
 
     def test_square_frame_exact_at_small_n(self):
         params = CmacgParams(random_hpd(np.random.default_rng(24), 2, 10.0), 2)
         report = normalization_check(params, 1000, make_rng(2))
         assert report.passed
-        assert abs(report.estimate - 1.0) <= 1e-12
-        assert report.std_error <= 1e-12
+        assert abs(report.details["estimate"] - 1.0) <= 1e-12
+        assert report.details["std_error"] <= 1e-12
 
     def test_stochastic_case(self):
         params = diag_params([3.0, 2.0, 1.0], 2)
         report = normalization_check(params, 200000, make_rng(3))
         assert report.passed
-        assert abs(report.estimate - 1.0) <= 4.0 * report.std_error
+        assert abs(report.details["estimate"] - 1.0) <= 4.0 * report.details["std_error"]
 
     def test_deterministic_given_seed(self):
         params = diag_params([3.0, 2.0, 1.0], 2)
@@ -193,7 +196,7 @@ class TestNormalCovarianceCheck:
         params = ComplexMatrixNormalParams(np.eye(2), 1)
         report = normal_covariance_check(params, 50000, make_rng(19))
         assert report.passed
-        assert report.estimate <= 4.0
+        assert report.statistic <= 4.0
 
     def test_complex_parameter(self):
         params = ComplexMatrixNormalParams(np.array([[2.0, 1j], [-1j, 2.0]]), 1)
@@ -204,6 +207,52 @@ class TestNormalCovarianceCheck:
         params = ComplexMatrixNormalParams(np.eye(2), 1)
         with pytest.raises(InsufficientSample):
             normal_covariance_check(params, 1000, make_rng(21))
+
+
+class TestVerdictRules:
+    """Each kind keeps its own rule where the statistic equals the threshold."""
+
+    def test_normal_covariance_passes_at_equality(self):
+        params = ComplexMatrixNormalParams(np.eye(2), 1)
+        first = normal_covariance_check(params, 50000, make_rng(19))
+        tied = normal_covariance_check(params, 50000, make_rng(19), k=first.statistic)
+        assert tied.statistic == tied.threshold
+        assert tied.kind == "verification_report" and tied.passed
+
+    def test_normalization_passes_at_equality(self, monkeypatch):
+        # unit density values: the statistic and the standard error are both 0
+        monkeypatch.setattr(
+            verify.dist, "cmacg_log_density_batch", lambda p, frames: np.zeros(len(frames))
+        )
+        monkeypatch.setattr(verify, "MEAN_CHECK_ATOL", 0.0)
+        report = normalization_check(diag_params([3.0, 2.0, 1.0], 2), 100, make_rng(1))
+        assert report.statistic == report.threshold == 0.0
+        assert report.kind == "verification_report" and report.passed
+
+    def test_two_sample_fails_at_equality(self, monkeypatch):
+        monkeypatch.setattr(verify, "ks_critical_value", lambda n1, n2, level: 1.0)
+        x = np.arange(1, 1001) / 1000.0
+        result = ks_two_sample(x, x + 10.0)
+        assert result.statistic == result.threshold == 1.0
+        assert result.kind == "two_sample" and not result.passed
+
+    def test_worst_subtest_takes_largest_margin_under_check_name(self):
+        def subtest(name, statistic, threshold):
+            verdict = "pass" if statistic < threshold else "fail"
+            return CheckResult(name, "two_sample", statistic, threshold, verdict)
+
+        subtests = [subtest("a", 1.0, 4.0), subtest("b", 0.9, 1.0), subtest("c", 0.5, 1.0)]
+        worst = verify._worst_subtest("corollary", subtests, 20000)
+        assert (worst.name, worst.kind, worst.statistic, worst.threshold, worst.verdict) == (
+            "corollary", "two_sample", 0.9, 1.0, "pass"
+        )
+        assert worst.details == {
+            "n1": 20000, "n2": 20000, "functional_description": "b; worst margin of 3 subtests"
+        }
+        # a zero threshold counts as an infinite margin
+        zero = verify._worst_subtest("corollary", subtests + [subtest("z", 0.0, 0.0)], 20000)
+        assert (zero.statistic, zero.threshold, zero.margin) == (0.0, 0.0, math.inf)
+        assert not zero.passed
 
 
 class TestRunSuite:
