@@ -9,7 +9,9 @@ log-determinants.
 One kernel per operation, which single-matrix callers use as a batch of
 one: ``_semi_unitary_residual`` (max|H^H H - I| per frame), ``_frame_from_array``
 (raw frames, at the caller's tolerance) and ``_orientation_batch`` (the polar
-orientation Z (Z^H Z)^{-1/2} for polar_decompose and the samplers).
+orientation Z (Z^H Z)^{-1/2} for polar_decompose and the samplers: a closed
+form for two columns, ``eigh`` of the Gram otherwise, and one Newton-Schulz
+step for a frame that misses the semi-unitarity tolerance).
 
 All operations are pure functions on immutable values; wrapped arrays are
 marked read-only so values can be shared freely between threads.
@@ -105,10 +107,31 @@ class HermitianPD:
         return f"HermitianPD(dim={self.dim})"
 
 
+def _small_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Entries of X^H X for a stack of one- or two-column matrices (..., m, r).
+
+    Returns the diagonal, shaped (..., r), and for r = 2 the (0, 1) entry.
+    Sums over rows of the real view need no temporary arrays and cost less
+    than a batched matmul of tiny matrices.
+    """
+    f = np.ascontiguousarray(x).view(np.float64)
+    squares = np.einsum("...mk,...mk->...k", f, f)
+    diag = squares[..., ::2] + squares[..., 1::2]
+    if x.shape[-1] == 1:
+        return diag, None
+    re = np.einsum("...mk,...mk->...", f[..., :2], f[..., 2:])
+    im = np.einsum("...m,...m->...", f[..., 0], f[..., 3]) - np.einsum("...m,...m->...", f[..., 1], f[..., 2])
+    return diag, re + 1j * im
+
+
 def _semi_unitary_residual(frames: np.ndarray) -> np.ndarray:
     """max|H^H H - I| of each frame in a stack shaped (..., m, r)."""
     r = frames.shape[-1]
-    return np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(r)).max(axis=(-2, -1))
+    if r > 2:
+        return np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(r)).max(axis=(-2, -1))
+    diag, cross = _small_gram(frames)
+    residual = np.abs(diag - 1.0).max(axis=-1)
+    return residual if r == 1 else np.maximum(residual, np.abs(cross))
 
 
 def _frame_from_array(value, name: str, atol: float) -> np.ndarray:
@@ -256,18 +279,55 @@ def hermitian_inv_sqrt(a: HermitianPD) -> HermitianPD:
 def _orientation_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar orientations of a batch of draws, plus a bad-row mask.
 
-    Rows are flagged when the Gram matrix fails the rank gate or the
-    resulting frame misses the semi-unitarity tolerance.
+    Two-column draws take a closed form, any other width the Gram's ``eigh``.
+    A frame that misses the semi-unitarity tolerance gets one Newton-Schulz
+    step H <- H (3I - H^H H)/2 (Higham, Functions of Matrices, ch. 8).  Rows
+    are flagged when the Gram matrix fails the rank gate or the frame still
+    misses the tolerance.
     """
-    m = z.shape[1]
-    gram = hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z)
-    eigs, vecs = np.linalg.eigh(gram)
+    m, r = z.shape[1:]
     floor = (m * RANK_RTOL) ** 2
-    bad = eigs[:, 0] <= floor * eigs[:, -1]
-    safe = np.where(bad[:, None], 1.0, eigs)
-    inv_sqrt = (vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
-    frames = z @ inv_sqrt
-    bad |= _semi_unitary_residual(frames) > SEMI_UNITARY_ATOL
+    if r == 2:
+        # G = Z^H Z = [[a, b], [conj(b), d]].  With s = sqrt(det G) and
+        # t = sqrt(tr G + 2s), G^{-1/2} = [[d + s, -b], [-conj(b), a + s]] / (s t)
+        # (Higham, ch. 6).  w, the part of z1 orthogonal to z0, gives det G as
+        # a |w|^2 and the frame columns without the cancellation of a d - |b|^2;
+        # the frames do not depend on the scale of Z, so G is scaled to unit
+        # trace.  The rank gate takes lambda_min = det G / lambda_max.
+        z0, z1 = z[..., 0], z[..., 1]
+        norms, b = _small_gram(z)
+        a, d = norms.T
+        w = z0 * (-b / np.where(a > 0, a, 1.0))[:, None]
+        w += z1
+        scale = 1.0 / np.where(a + d > 0, a + d, 1.0)
+        a, d, b = a * scale, d * scale, b * scale
+        e = _small_gram(w[..., None])[0][:, 0] * scale
+        lam_max = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2)
+        bad = a * e <= floor * lam_max**2
+        s = np.sqrt(np.where(bad, 1.0, a * e))
+        c = (np.sqrt(scale) / (s * np.sqrt(a + d + 2 * s)))[:, None]
+        # (d + s) z0 - conj(b) z1 and (a + s) z1 - b z0, rewritten through w
+        # and formed in place: fewer temporaries keep the heap, and so the
+        # peak RSS, from growing
+        frames = np.empty_like(z)
+        np.multiply(z0, c * (e + s)[:, None], out=frames[..., 0])
+        np.multiply(z1, c * s[:, None], out=frames[..., 1])
+        frames[..., 0] -= (c * b.conj()[:, None]) * w
+        w *= c * a[:, None]
+        frames[..., 1] += w
+    else:
+        gram = hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z)
+        eigs, vecs = np.linalg.eigh(gram)
+        bad = eigs[:, 0] <= floor * eigs[:, -1]
+        safe = np.where(bad[:, None], 1.0, eigs)
+        inv_sqrt = (vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
+        frames = z @ inv_sqrt
+    redo = np.flatnonzero(_semi_unitary_residual(frames) > SEMI_UNITARY_ATOL)
+    if redo.size:
+        h = frames[redo]
+        h = h @ (1.5 * np.eye(r) - 0.5 * (np.swapaxes(h.conj(), 1, 2) @ h))
+        frames[redo] = h
+        bad[redo] |= _semi_unitary_residual(h) > SEMI_UNITARY_ATOL
     return frames, bad
 
 

@@ -12,6 +12,7 @@ from cmacg import CmacgParams, StiefelPoint
 import cmacg.cli as cli
 import cmacg.serialization as ser
 import cmacg.verify
+from conftest import random_hpd
 
 
 @pytest.fixture
@@ -113,6 +114,18 @@ class TestSample:
         assert json.load(open(out + ".meta.json"))["seed"] == 5
         cli.main(["sample", "--r", "1", "--n", "5", "--seed", "9", "--param", param_csv, "--out", out])
         assert json.load(open(out + ".meta.json"))["seed"] == 9
+
+    def test_holds_at_parameter_condition_edge(self, tmp_path):
+        # CmacgParams accepts condition numbers up to 1e10, and so must sampling
+        param = tmp_path / "P.csv"
+        param.write_text(ser.matrix_to_csv(random_hpd(np.random.default_rng(5), 3, 1e10)))
+        out = str(tmp_path / "draws.csv")
+        code = cli.main(["sample", "--r", "2", "--n", "20000", "--seed", "1",
+                         "--param", str(param), "--out", out])
+        assert code == 0
+        with open(out) as handle:
+            frames = ser.draws_from_csv(handle.read())
+        assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(2)).max() <= 1e-10
 
     def test_mismatched_m_flag_rejected(self, tmp_path, param_csv, capsys):
         out = str(tmp_path / "draws.csv")

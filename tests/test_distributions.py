@@ -188,8 +188,25 @@ class TestCmacgSampler:
             )
             assert result.passed
 
-    def test_retry_replaces_rank_deficient_draw(self, monkeypatch):
-        params = diag_params([1.0, 1.0], 1)
+    @pytest.mark.parametrize("cond", [1e8, 1e10])
+    def test_orientation_holds_at_condition_edge(self, cond):
+        # forming the Gram squares the condition of a draw; frames must still
+        # be semi-unitary and match the SVD polar factor, with no redraw
+        rng = make_rng(int(np.log10(cond)))
+        normal = ComplexMatrixNormalParams(random_hpd(rng, 3, cond), 2)
+        z = sample_complex_matrix_normal_batch(normal, 20000, rng)
+
+        def no_redraw(k):
+            pytest.fail(f"{k} draws redrawn")
+
+        frames = dist._orient_with_retry(z, no_redraw)
+        u, _, vh = np.linalg.svd(z, full_matrices=False)
+        assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(2)).max() <= 1e-10
+        assert np.abs(frames - u @ vh).max() <= 1e-9
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_retry_replaces_rank_deficient_draw(self, monkeypatch, r):
+        params = diag_params([1.0, 1.0], r)
         real_sampler = dist.sample_complex_matrix_normal_batch
         calls = {"count": 0}
 
@@ -203,7 +220,7 @@ class TestCmacgSampler:
         monkeypatch.setattr(dist, "sample_complex_matrix_normal_batch", flaky)
         frames = dist.sample_cmacg_batch(params, 50, make_rng(3))
         assert calls["count"] == 2
-        assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - 1.0).max() <= 1e-10
+        assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(r)).max() <= 1e-10
 
     def test_persistent_rank_deficiency_raises(self, monkeypatch):
         params = diag_params([1.0, 1.0], 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmacg import (
+    ComplexMatrixNormalParams,
     DimensionMismatch,
     HermitianPD,
     IllConditioned,
@@ -15,7 +16,9 @@ from cmacg import (
     hermitian_sqrt_newton,
     logdet_hpd,
     polar_decompose,
+    sample_complex_matrix_normal_batch,
 )
+from cmacg.linalg import _orientation_batch, _semi_unitary_residual
 from conftest import random_frame, random_hpd, random_unitary
 
 
@@ -205,20 +208,109 @@ class TestPolarDecompose:
         with pytest.raises(RankDeficient):
             polar_decompose(z)
 
-    @pytest.mark.parametrize(
-        "ratio, cause", [(1e-5, NotOnManifold), (1e-8, ValidationError), (1e-11, ValidationError)]
-    )
-    def test_passes_svd_gate_but_fails_factor_validation(self, ratio, cause):
-        # sigma_min/sigma_max stays above the m * 1e-12 singular-value gate, but
-        # the polar factor misses 1e-10 (ratio 1e-5) or the Gram matrix is not
-        # numerically PD (smaller ratios); both surface as RankDeficient
+    @staticmethod
+    def near_gate_input(ratio):
         rng = np.random.default_rng(8)
         z = random_frame(rng, 5, 3) @ np.diag([1.0, 0.5, ratio]) @ random_unitary(rng, 3)
         svals = np.linalg.svd(z, compute_uv=False)
         assert svals[-1] > 5 * 1e-12 * svals[0]
+        return z
+
+    def test_near_gate_input_gets_a_polished_factor(self):
+        # at sigma ratio 1e-5 the eigh factor misses 1e-10; one Newton-Schulz
+        # step brings it back onto the manifold and onto the SVD polar factor
+        z = self.near_gate_input(1e-5)
+        orientation, _ = polar_decompose(z)
+        u, _, vh = np.linalg.svd(z, full_matrices=False)
+        assert semi_unitary_residual(orientation.frame) <= 1e-10
+        assert np.abs(orientation.frame - u @ vh).max() <= 1e-10
+
+    @pytest.mark.parametrize("ratio, cause", [(1e-8, ValidationError), (1e-11, ValidationError)])
+    def test_passes_svd_gate_but_fails_factor_validation(self, ratio, cause):
+        # sigma_min/sigma_max stays above the m * 1e-12 singular-value gate, but
+        # the Gram matrix is not numerically PD, which surfaces as RankDeficient
+        z = self.near_gate_input(ratio)
         with pytest.raises(RankDeficient) as excinfo:
             polar_decompose(z)
         assert type(excinfo.value.__cause__) is cause
+
+
+def semi_unitary_residual(frames):
+    r = frames.shape[-1]
+    return np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(r)).max()
+
+
+def svd_polar(z):
+    u, _, vh = np.linalg.svd(z, full_matrices=False)
+    return u @ vh
+
+
+class TestOrientationKernel:
+    """``_orientation_batch`` against the SVD polar factor as an oracle."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("cond", [10.0, 1e3, 1e6])
+    def test_two_columns_match_svd_polar_factor(self, m, cond):
+        rng = np.random.default_rng(m)
+        cov = ComplexMatrixNormalParams(random_hpd(rng, m, cond), 2)
+        z = sample_complex_matrix_normal_batch(cov, 2000, rng)
+        frames, bad = _orientation_batch(z)
+        assert not bad.any()
+        assert semi_unitary_residual(frames) <= 1e-10
+        assert np.abs(frames - svd_polar(z)).max() <= 1e-10
+
+    def test_newton_schulz_step_keeps_square_draws_at_condition_edge(self):
+        # square 2x2 draws at parameter condition 1e10: the closed form leaves
+        # some frames just outside 1e-10, and the step must bring every one back
+        rng = np.random.default_rng(10)
+        cov = ComplexMatrixNormalParams(random_hpd(rng, 2, 1e10), 2)
+        z = sample_complex_matrix_normal_batch(cov, 20000, rng)
+        frames, bad = _orientation_batch(z)
+        assert not bad.any()
+        assert _semi_unitary_residual(frames).max() <= 1e-10
+
+    def test_orthogonal_columns_are_normalised(self):
+        # for orthogonal columns the polar factor is each column over its norm
+        rng = np.random.default_rng(11)
+        q = random_frame(rng, 4, 2)
+        z = (q * np.array([3.0, 1e-3]))[None]
+        frames, bad = _orientation_batch(z)
+        assert not bad[0]
+        np.testing.assert_allclose(frames[0], q, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_two_columns_scale_invariant(self, scale):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((50, 3, 2)) + 1j * rng.standard_normal((50, 3, 2))
+        frames, bad = _orientation_batch(z)
+        scaled, scaled_bad = _orientation_batch(scale * z)
+        assert not bad.any() and not scaled_bad.any()
+        np.testing.assert_allclose(scaled, frames, rtol=0, atol=1e-14)
+
+    def test_rank_deficient_two_column_rows_flagged(self):
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+        z[1] = 0.0
+        z[2, :, 0] = 0.0
+        z[3, :, 1] = (0.3 - 2.0j) * z[3, :, 0]
+        frames, bad = _orientation_batch(z)
+        np.testing.assert_array_equal(bad, [False, True, True, True, False])
+        good = ~bad
+        assert semi_unitary_residual(frames[good]) <= 1e-10
+        np.testing.assert_allclose(frames[good], svd_polar(z[good]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_residual_matches_matmul_definition(self, r):
+        rng = np.random.default_rng(14)
+        frames = random_frame(rng, 4, r) + 1e-7 * rng.standard_normal((4, r))
+        stack = np.stack([frames, random_frame(rng, 4, r)])
+        expected = [semi_unitary_residual(f) for f in stack]
+        np.testing.assert_allclose(_semi_unitary_residual(stack), expected, rtol=1e-12, atol=1e-16)
+        # a strided view, with the columns reversed, has the same residual
+        np.testing.assert_allclose(
+            _semi_unitary_residual(stack[..., ::-1]), expected, rtol=1e-12, atol=1e-16
+        )
+        assert float(_semi_unitary_residual(frames)) == pytest.approx(expected[0], rel=1e-12)
 
 
 class TestLogdet:
