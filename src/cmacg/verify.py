@@ -15,14 +15,14 @@ returns a ``CheckResult``:
 - ``normal_covariance_check``: the stacked real/imaginary column vector has
   the stated block covariance.
 
-Distributions on the manifold are compared through scalar functionals of
-the projection matrix (right-unitary invariant, hence well defined on the
-subspace itself), several randomized functionals per check with Bonferroni
-correction across them.  Each such subtest, a KS call included, is itself a
-two-sample ``CheckResult``, and the check reports the one with the worst
-margin.  Mean-based verdicts use |estimate - target| <= k * SE + atol, where
-the small absolute floor covers degenerate cases whose integrand is
-deterministic and the standard error vanishes.
+Distributions on the manifold are compared through randomized functionals
+Re tr(A H B H^H), Bonferroni-corrected and all evaluated by one kernel;
+with B = I they depend only on the projection H H^H, hence on the subspace.
+The mean-projection subtest uses m x m and r x r sums, so memory grows with
+n*m*r, not n*m^2.  Each subtest is a two-sample ``CheckResult``, and the
+check reports the one with the worst margin.  Mean-based verdicts use
+|estimate - target| <= k * SE + atol; the small absolute floor covers
+degenerate cases whose integrand is deterministic and the SE vanishes.
 
 Every check is deterministic given its inputs and generator state.
 """
@@ -142,60 +142,70 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return hermitian_part(g)
 
 
-def _projection_functional(frames: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Re tr(A H H^H) per frame, without materializing the projections."""
-    return np.einsum("nji,jk,nki->n", frames.conj(), weight, frames).real
+def _frame_columns(frames: np.ndarray) -> np.ndarray:
+    """The frames side by side as one m x (n r) matrix [H_1 ... H_n], contiguous."""
+    n, m, r = frames.shape
+    return np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(m, n * r)
 
 
-def _bilinear_functional(frames: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Re tr(A H B H^H) per frame; not pointwise right-invariant for non-scalar B."""
-    inner = np.swapaxes(frames.conj(), 1, 2) @ (left @ frames)
-    return np.einsum("nij,ji->n", inner, right).real
+def _functional(frames: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Re tr(A H B H^H) per frame, A = ``left`` and B = ``right`` each in one product.
+
+    With B the identity this is the projection functional, right-invariant
+    draw by draw; a non-scalar B makes it so only in distribution.
+    """
+    n, m, r = frames.shape
+    t = _frame_columns(frames)
+    weighted = (left @ t).reshape(m * n, r) @ right
+    products = t.view(np.float64) * weighted.view(np.float64).reshape(m, 2 * n * r)
+    return products.reshape(m, n, 2 * r).sum(axis=(0, 2))
 
 
-def _projections(frames: np.ndarray) -> np.ndarray:
-    return np.einsum("nir,njr->nij", frames, frames.conj())
+def _projection_moments(frames: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean of H H^H and its summed entry variance (ddof 1), with no (n, m, m) array.
+
+    sum_ij |(H H^H)_ij|^2 = ||H^H H||_F^2 needs only the r x r Grams.  The
+    variance is clamped at zero: at m = r it is a difference of equal terms.
+    """
+    n = frames.shape[0]
+    t = _frame_columns(frames)
+    mean = t @ t.conj().T / n
+    grams = np.swapaxes(frames.conj(), 1, 2) @ frames
+    variance = (np.vdot(grams, grams).real - n * np.vdot(mean, mean).real) / (n - 1)
+    return mean, max(float(variance), 0.0)
 
 
-def _compare_frame_samples(
-    frames_1: np.ndarray,
-    frames_2: np.ndarray,
-    rng: np.random.Generator,
-    level: float,
-    k: float,
-    n_functionals: int,
-) -> list[CheckResult]:
-    """KS on randomized projection functionals plus mean-projection distance."""
-    m = frames_1.shape[1]
-    n1, n2 = frames_1.shape[0], frames_2.shape[0]
+def _two_sample_check(
+    name: str, draw, params: CmacgParams, n: int, rng: np.random.Generator,
+    level: float, k: float, n_functionals: int,
+) -> CheckResult:
+    """Orientations of ``draw(n)`` against n direct CMACG(params) draws.
+
+    KS on randomized projection functionals, Bonferroni-corrected, and the
+    Frobenius distance of the mean projections against its standard error.
+    """
+    frames = (dist._orient_with_retry(draw(n), draw), dist.sample_cmacg_batch(params, n, rng))
     subtests = []
     per_functional_level = level / n_functionals
     for j in range(n_functionals):
-        weight = _random_hermitian(m, rng)
+        weight = _random_hermitian(params.m, rng)
         subtests.append(
             ks_two_sample(
-                _projection_functional(frames_1, weight),
-                _projection_functional(frames_2, weight),
+                *(_functional(side, weight, np.eye(params.r)) for side in frames),
                 level=per_functional_level,
                 description=f"KS on projection functional {j + 1} (Bonferroni level "
                 f"{per_functional_level:g})",
             )
         )
-    proj_1, proj_2 = _projections(frames_1), _projections(frames_2)
-    distance = proj_1.mean(axis=0) - proj_2.mean(axis=0)
-    entry_var = (
-        (proj_1.real.var(axis=0, ddof=1) + proj_1.imag.var(axis=0, ddof=1)) / n1
-        + (proj_2.real.var(axis=0, ddof=1) + proj_2.imag.var(axis=0, ddof=1)) / n2
-    )
-    std_error = math.sqrt(float(entry_var.sum()))
+    (mean_1, var_1), (mean_2, var_2) = (_projection_moments(side) for side in frames)
     subtests.append(
         _two_sample(
             f"mean projection Frobenius distance vs {k:g} SE",
-            float(np.linalg.norm(distance)),
-            k * std_error + MEAN_CHECK_ATOL,
+            float(np.linalg.norm(mean_1 - mean_2)),
+            k * math.sqrt((var_1 + var_2) / n) + MEAN_CHECK_ATOL,
         )
     )
-    return subtests
+    return _worst_subtest(name, subtests, n)
 
 
 def normalization_check(
@@ -242,7 +252,8 @@ def unitary_invariance_check(
     must agree to round-off.  Bilinear functionals with a non-scalar inner
     weight are only equal in distribution; they are compared by KS on the
     paired samples, which is conservative under the null and exactly zero
-    for the identity unitary.
+    for the identity unitary.  At r = 1 a real scalar B adds nothing to the
+    pointwise subtest, which is then the whole check.
     """
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
@@ -251,9 +262,8 @@ def unitary_invariance_check(
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
     rotated = frames @ unitary
 
-    weight = _random_hermitian(m, rng)
-    base = _projection_functional(frames, weight)
-    turned = _projection_functional(rotated, weight)
+    weight, identity = _random_hermitian(m, rng), np.eye(r)
+    base, turned = (_functional(side, weight, identity) for side in (frames, rotated))
     scale = max(1.0, float(np.abs(base).max()))
     subtests = [
         _two_sample(
@@ -263,13 +273,12 @@ def unitary_invariance_check(
         )
     ]
     per_functional_level = level / n_functionals
-    for j in range(n_functionals):
+    for j in range(n_functionals if r > 1 else 0):
         left = _random_hermitian(m, rng)
         right = _random_hermitian(r, rng)
         subtests.append(
             ks_two_sample(
-                _bilinear_functional(frames, left, right),
-                _bilinear_functional(rotated, left, right),
+                *(_functional(side, left, right) for side in (frames, rotated)),
                 level=per_functional_level,
                 description=f"KS on bilinear functional {j + 1} (paired draws, "
                 f"Bonferroni level {per_functional_level:g})",
@@ -290,23 +299,18 @@ def corollary_check(
     """Orientations of transformed draws vs direct draws under the new parameter.
 
     Side one draws full matrices, transforms them and takes orientations;
-    side two samples directly with the transformed parameter.  The two
-    independent samples are compared by KS on projection functionals and by
-    the Frobenius distance of mean projections against its standard error.
+    side two samples directly with the transformed parameter, and
+    ``_two_sample_check`` compares the two independent samples.
     """
     _require_samples("corollary", n)
-    transformed_params = dist.transform_parameter(params, transform)
+    target = dist.transform_parameter(params, transform)
     b = np.asarray(transform, dtype=np.complex128)
     normal_params = ComplexMatrixNormalParams(params.cov, params.r)
 
     def draw(count: int) -> np.ndarray:
         return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
 
-    frames_1 = dist._orient_with_retry(draw(n), draw)
-    frames_2 = dist.sample_cmacg_batch(transformed_params, n, rng)
-    return _worst_subtest(
-        "corollary", _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals), n
-    )
+    return _two_sample_check("corollary", draw, target, n, rng, level, k, n_functionals)
 
 
 def general_class_check(
@@ -339,13 +343,7 @@ def general_class_check(
         weights = rng.gamma(shape=mixture_shape, scale=1.0 / mixture_rate, size=count)
         return z / np.sqrt(weights)[:, None, None]
 
-    frames_1 = dist._orient_with_retry(draw(n), draw)
-    frames_2 = dist.sample_cmacg_batch(params, n, rng)
-    return _worst_subtest(
-        "general_class",
-        _compare_frame_samples(frames_1, frames_2, rng, level, k, n_functionals),
-        n,
-    )
+    return _two_sample_check("general_class", draw, params, n, rng, level, k, n_functionals)
 
 
 def normal_covariance_check(

@@ -305,6 +305,25 @@ class TestVerify:
         assert cli.main(argv) == 0
         assert read_bytes(report) == first
 
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # the functionals run as threaded BLAS products; the report must not
+        # depend on how many threads OpenBLAS uses
+        src = os.path.dirname(os.path.dirname(cmacg.verify.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            report = tmp_path / f"report_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmacg", "verify", "--m", "12", "--r", "4",
+                 "--n", "10000", "--seed", "0", "--checks", "unitary_invariance,corollary",
+                 "--out", str(report)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            reports.append(read_bytes(report))
+        assert reports[0] == reports[1]
+
     def test_bare_default_suite_passes(self, tmp_path, capsys, monkeypatch):
         # no param, no dims: full default suite on diag(3,2,1) at m=3, r=2
         monkeypatch.chdir(tmp_path)

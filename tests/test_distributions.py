@@ -182,8 +182,8 @@ class TestCmacgSampler:
             left = verify._random_hermitian(2, rng)
             right = verify._random_hermitian(2, rng)
             result = verify.ks_two_sample(
-                verify._bilinear_functional(frames_1, left, right),
-                verify._bilinear_functional(frames_2, left, right),
+                verify._functional(frames_1, left, right),
+                verify._functional(frames_2, left, right),
                 level=0.01 / 3,
             )
             assert result.passed
@@ -253,8 +253,8 @@ class TestUniformStiefel:
         weights = [verify._random_hermitian(3, make_rng(33)) for _ in range(3)]
         for weight in weights:
             result = verify.ks_two_sample(
-                verify._projection_functional(base, weight),
-                verify._projection_functional(rotated, weight),
+                verify._functional(base, weight, np.eye(2)),
+                verify._functional(rotated, weight, np.eye(2)),
                 level=0.01 / len(weights),
             )
             assert result.passed

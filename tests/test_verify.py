@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cmacg import (
     unitary_invariance_check,
 )
 import cmacg.verify as verify
-from conftest import random_hpd, random_unitary
+from conftest import random_frame, random_hpd, random_unitary
 
 
 def diag_params(entries, r):
@@ -130,14 +131,33 @@ class TestUnitaryInvarianceCheck:
         frames = verify.dist.sample_cmacg_batch(params, 5000, rng)
         q = random_unitary(np.random.default_rng(25), 1)
         weight = verify._random_hermitian(2, rng)
-        base = verify._projection_functional(frames, weight)
-        rotated = verify._projection_functional(frames @ q, weight)
+        base = verify._functional(frames, weight, np.eye(1))
+        rotated = verify._functional(frames @ q, weight, np.eye(1))
         assert np.abs(base - rotated).max() <= 1e-10 * max(1.0, np.abs(base).max())
 
     def test_insufficient_sample(self):
         params = diag_params([2.0, 1.0], 1)
         with pytest.raises(InsufficientSample):
             unitary_invariance_check(params, 5000, make_rng(9))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_single_column_passes_on_correct_code(self, m):
+        # at r = 1 the bilinear functional is a scalar multiple of the
+        # projection one, so the pointwise subtest is the whole check
+        params = diag_params(np.arange(m, 0, -1.0), 1)
+        for seed in range(20):
+            result = unitary_invariance_check(params, 10000, make_rng(seed))
+            assert result.passed, (seed, result)
+            assert result.details["functional_description"].startswith("pointwise identity")
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_single_column_non_unitary_fails_pointwise(self, m):
+        params = diag_params(np.arange(m, 0, -1.0), 1)
+        result = unitary_invariance_check(
+            params, 10000, make_rng(40), unitary=np.array([[1.01]])
+        )
+        assert not result.passed
+        assert result.details["functional_description"].startswith("pointwise identity")
 
 
 class TestCorollaryCheck:
@@ -207,6 +227,56 @@ class TestNormalCovarianceCheck:
         params = ComplexMatrixNormalParams(np.eye(2), 1)
         with pytest.raises(InsufficientSample):
             normal_covariance_check(params, 1000, make_rng(21))
+
+
+class TestFrameFunctionals:
+    """The one functional kernel and the projection moments, against explicit forms."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "every_other", "right_multiplied"])
+    @pytest.mark.parametrize("m_extra", [0, 1, None])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_functional_matches_trace(self, r, m_extra, layout):
+        m = 12 if m_extra is None else r + m_extra
+        rng = np.random.default_rng(100 * r + m)
+        frames = np.stack([random_frame(rng, m, r) for _ in range(40)])
+        if layout == "every_other":
+            frames = frames[::2]
+        elif layout == "right_multiplied":
+            frames = frames @ random_unitary(rng, r)
+        left = verify._random_hermitian(m, rng)
+        right = verify._random_hermitian(r, rng)
+        values = verify._functional(frames, left, right)
+        expected = [np.trace(left @ h @ right @ h.conj().T).real for h in frames]
+        assert values.shape == (len(frames),)
+        assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4), (2, 2), (4, 4)])
+    def test_projection_moments_match_explicit_projections(self, m, r):
+        frames = verify.dist.sample_cmacg_batch(
+            CmacgParams(random_hpd(np.random.default_rng(m + r), m, 20.0), r), 2000, make_rng(41)
+        )
+        mean, variance = verify._projection_moments(frames)
+        proj = np.einsum("nir,njr->nij", frames, frames.conj())
+        expected = (proj.real.var(axis=0, ddof=1) + proj.imag.var(axis=0, ddof=1)).sum()
+        assert np.abs(mean - proj.mean(axis=0)).max() <= 1e-13
+        if m > r:
+            assert variance == pytest.approx(expected, rel=1e-9)
+        else:
+            # square frames: every projection is the identity
+            assert math.isfinite(variance) and 0.0 <= variance <= 1e-12
+
+    def test_corollary_memory_below_one_projection_stack(self):
+        m, r, n = 24, 2, 10000
+        params = diag_params(np.arange(m, 0, -1.0), r)
+        transform = verify.default_transform(m, make_rng(42))
+        tracemalloc.start()
+        try:
+            result = corollary_check(params, transform, n, make_rng(43))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.statistic >= 0.0
+        assert peak < n * m * m * np.dtype(np.complex128).itemsize
 
 
 class TestVerdictRules:
