@@ -65,13 +65,14 @@ def derive_rng(seed: int, *lane: int) -> np.random.Generator:
 
 
 class CmacgParams:
-    """Validated CMACG parameter: the matrix plus cached inverse and log-det.
+    """Validated CMACG parameter P = L L^H: the matrix, L^{-1} and log det P.
 
-    Rejects parameter matrices with condition number above
-    ``PARAM_MAX_COND``.
+    Both cached quantities come from one Cholesky factor, so the density's
+    whitened frames L^{-1} H and its log-det terms agree.  Rejects parameter
+    matrices with condition number above ``PARAM_MAX_COND``.
     """
 
-    __slots__ = ("cov", "r", "cov_inv", "logdet_cov")
+    __slots__ = ("cov", "r", "chol_inv", "logdet_cov")
 
     def __init__(self, cov, r: int):
         cov = cov if isinstance(cov, HermitianPD) else HermitianPD(cov, name="parameter matrix")
@@ -81,7 +82,7 @@ class CmacgParams:
             raise DimensionMismatch(
                 f"frame size r={r} exceeds ambient dimension m={cov.dim}"
             )
-        eigs, vecs = np.linalg.eigh(cov.mat)
+        eigs = np.linalg.eigvalsh(cov.mat)
         cond = eigs[-1] / eigs[0]
         if cond > PARAM_MAX_COND:
             raise IllConditioned(
@@ -89,8 +90,14 @@ class CmacgParams:
             )
         self.cov = cov
         self.r = r
-        self.cov_inv = HermitianPD(hermitian_part((vecs / eigs) @ vecs.conj().T))
-        self.logdet_cov = linalg.logdet_hpd(cov)
+        # column j of L, then row j of L^{-1}, in extended precision (float64: 2e-8 error at 1e10)
+        low, inv = cov.mat.astype(np.clongdouble), np.zeros(cov.mat.shape, np.clongdouble)
+        for j in range(cov.dim):
+            low[j, j] = np.sqrt(low[j, j].real - (abs(low[j, :j]) ** 2).sum())
+            low[j + 1:, j] = (low[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / low[j, j]
+            inv[j, :j + 1] = np.append(-(low[j, :j] @ inv[:j, :j]), 1.0) / low[j, j]
+        self.chol_inv = inv.astype(np.complex128)
+        self.logdet_cov = 2.0 * float(np.log(low.diagonal().real).sum())
 
     @property
     def m(self) -> int:
@@ -210,32 +217,22 @@ def sample_uniform_stiefel(dims: ManifoldDims, rng: np.random.Generator) -> Stie
     return sample_cmacg(CmacgParams.uniform(dims), rng)
 
 
-def _frame_array(h, name: str = "frame") -> np.ndarray:
-    """Accept a StiefelPoint or a raw array; validate raw arrays loosely.
-
-    Raw arrays only need semi-unitarity within ``DENSITY_MANIFOLD_ATOL``,
-    which tolerates frames that went through serialization round-trips.
-    """
-    if isinstance(h, StiefelPoint):
-        return h.frame
-    return linalg._frame_from_array(h, name, DENSITY_MANIFOLD_ATOL)
-
-
 def cmacg_log_density(params: CmacgParams, h) -> float:
     """CMACG log-density at a frame, w.r.t. the normalized invariant measure.
 
     Equals ``-r*logdet(P) - m*logdet(H^H P^{-1} H)`` for parameter ``P``;
     identically zero for the identity parameter and for square frames.
-    Evaluated by :func:`cmacg_log_density_batch` as a batch of one.
+    Evaluated, and a raw array validated, by the batch function as a batch of one.
     """
-    return float(cmacg_log_density_batch(params, _frame_array(h)[None])[0])
+    frame = h.frame if isinstance(h, StiefelPoint) else np.asarray(h)
+    return float(cmacg_log_density_batch(params, frame[None])[0])
 
 
 def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarray:
     """Log-densities for a batch of frames shaped (n, m, r).
 
     Every frame is validated against ``DENSITY_MANIFOLD_ATOL``; the raised
-    error names the first offending row.
+    error names the first offending row.  The inner log-det is log det(W^H W), W = L^{-1} H.
     """
     frames = np.asarray(frames, dtype=np.complex128)
     if frames.ndim != 3 or frames.shape[1:] != (params.m, params.r):
@@ -252,9 +249,9 @@ def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarr
             f"exceeds {DENSITY_MANIFOLD_ATOL:.1e}",
             residual=float(residuals[index]),
         )
-    inner = hermitian_part(np.swapaxes(frames.conj(), 1, 2) @ (params.cov_inv.mat @ frames))
-    _, logdet_inner = np.linalg.slogdet(inner)
-    return -params.r * params.logdet_cov - params.m * logdet_inner
+    whitened = params.chol_inv @ linalg._frame_columns(frames)
+    inner = linalg._gram_logdet(whitened.reshape(params.m, -1, params.r).transpose(1, 0, 2))
+    return -params.r * params.logdet_cov - params.m * inner
 
 
 def projection_matrix(h) -> np.ndarray:
@@ -264,7 +261,7 @@ def projection_matrix(h) -> np.ndarray:
     the complex Grassmann manifold.  Returned as a plain array since it is
     rank-deficient for r < m.
     """
-    frame = _frame_array(h)
+    frame = linalg._frame_from_array(h, "frame", DENSITY_MANIFOLD_ATOL)
     return hermitian_part(frame @ frame.conj().T)
 
 
@@ -301,7 +298,7 @@ def cmacg_log_density_of_transformed(params: CmacgParams, transform, h_y) -> flo
     the two code paths is one of the verified identities.
     """
     b = _validated_transform(transform, params.m)
-    frame = _frame_array(h_y, "h_y")
+    frame = linalg._frame_from_array(h_y, "h_y", DENSITY_MANIFOLD_ATOL)
     if frame.shape != (params.m, params.r):
         raise DimensionMismatch(
             f"frame shape {frame.shape} does not match parameter dims "

@@ -8,10 +8,11 @@ log-determinants.
 
 One kernel per operation, which single-matrix callers use as a batch of
 one: ``_semi_unitary_residual`` (max|H^H H - I| per frame), ``_frame_from_array``
-(raw frames, at the caller's tolerance) and ``_orientation_batch`` (the polar
-orientation Z (Z^H Z)^{-1/2} for polar_decompose and the samplers: a closed
-form for two columns, ``eigh`` of the Gram otherwise, and one Newton-Schulz
-step for a frame that misses the semi-unitarity tolerance).
+(raw frames, at the caller's tolerance), ``_gram_logdet`` (log det(X^H X), the
+density's inner form) and ``_orientation_batch`` (the polar orientation
+Z (Z^H Z)^{-1/2} for polar_decompose and the samplers: a closed form for two
+columns, ``eigh`` of the Gram otherwise, and one Newton-Schulz step for a
+frame that misses the semi-unitarity tolerance).
 
 All operations are pure functions on immutable values; wrapped arrays are
 marked read-only so values can be shared freely between threads.
@@ -111,10 +112,10 @@ def _small_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Entries of X^H X for a stack of one- or two-column matrices (..., m, r).
 
     Returns the diagonal, shaped (..., r), and for r = 2 the (0, 1) entry.
-    Sums over rows of the real view need no temporary arrays and cost less
-    than a batched matmul of tiny matrices.
+    Sums over rows of the real view, read in place when its rows are
+    unit-stride, cost less than a batched matmul of tiny matrices.
     """
-    f = np.ascontiguousarray(x).view(np.float64)
+    f = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)).view(np.float64)
     squares = np.einsum("...mk,...mk->...k", f, f)
     diag = squares[..., ::2] + squares[..., 1::2]
     if x.shape[-1] == 1:
@@ -122,6 +123,26 @@ def _small_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     re = np.einsum("...mk,...mk->...", f[..., :2], f[..., 2:])
     im = np.einsum("...m,...m->...", f[..., 0], f[..., 3]) - np.einsum("...m,...m->...", f[..., 1], f[..., 2])
     return diag, re + 1j * im
+
+
+def _frame_columns(frames: np.ndarray) -> np.ndarray:
+    """An (n, m, r) stack as one m x (n r) matrix [H_1 ... H_n], in which one product maps
+    every frame: A H_k is A times it, H_k B its (m n, r) reshape times B.  A stack that
+    is a view of such a matrix, as ``verify`` keeps its samples, is not copied."""
+    return np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(frames.shape[1], -1)
+
+
+def _gram_logdet(x: np.ndarray) -> np.ndarray:
+    """log det(X^H X) per matrix of a full-rank stack (..., m, r).  For r <= 2 it is
+    a |x1 - (b/a) x0|^2 with the ``_small_gram`` entries a and b, which, as in the
+    orientation, avoids the cancellation in ad - |b|^2."""
+    if x.shape[-1] > 2:
+        return np.linalg.slogdet(np.swapaxes(x.conj(), -1, -2) @ x)[1]
+    diag, cross = _small_gram(x)
+    if cross is None:
+        return np.log(diag[..., 0])
+    orth = x[..., 1] - x[..., 0] * (cross / diag[..., 0])[..., None]
+    return np.log(diag[..., 0] * _small_gram(orth[..., None])[0][..., 0])
 
 
 def _semi_unitary_residual(frames: np.ndarray) -> np.ndarray:
@@ -135,7 +156,10 @@ def _semi_unitary_residual(frames: np.ndarray) -> np.ndarray:
 
 
 def _frame_from_array(value, name: str, atol: float) -> np.ndarray:
-    """A raw array as an m-by-r complex frame (m >= r), semi-unitary within ``atol``."""
+    """A StiefelPoint's frame, or a raw array as an m-by-r complex frame (m >= r)
+    semi-unitary within ``atol``."""
+    if isinstance(value, StiefelPoint):
+        return value.frame
     arr = as_complex_matrix(value, name)
     m, r = arr.shape
     if m < r:
@@ -159,12 +183,8 @@ class StiefelPoint:
     __slots__ = ("frame",)
 
     def __init__(self, frame, name: str = "frame"):
-        if isinstance(frame, StiefelPoint):
-            self.frame = frame.frame
-            return
-        arr = _frame_from_array(frame, name, SEMI_UNITARY_ATOL)
-        arr.setflags(write=False)
-        self.frame = arr
+        self.frame = _frame_from_array(frame, name, SEMI_UNITARY_ATOL)
+        self.frame.setflags(write=False)
 
     @property
     def m(self) -> int:

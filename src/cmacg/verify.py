@@ -16,11 +16,12 @@ returns a ``CheckResult``:
   the stated block covariance.
 
 Distributions on the manifold are compared through randomized functionals
-Re tr(A H B H^H), Bonferroni-corrected and all evaluated by one kernel;
-with B = I they depend only on the projection H H^H, hence on the subspace.
-The mean-projection subtest uses m x m and r x r sums, so memory grows with
-n*m*r, not n*m^2.  Each subtest is a two-sample ``CheckResult``, and the
-check reports the one with the worst margin.  Mean-based verdicts use
+Re tr(A H B H^H), Bonferroni-corrected; with B = I they depend only on the
+projection H H^H, hence on the subspace.  Each sample is laid out once, as
+one m x (n r) matrix on which every functional takes one matrix product per
+weight; the mean-projection subtest needs only m x m and r x r sums, so
+memory grows with n*m*r, not n*m^2.  Each subtest is a two-sample
+``CheckResult``, and the check reports the worst margin.  Mean-based verdicts use
 |estimate - target| <= k * SE + atol; the small absolute floor covers
 degenerate cases whose integrand is deterministic and the SE vanishes.
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import distributions as dist
+from . import linalg
 from .distributions import CmacgParams, ComplexMatrixNormalParams
 from .errors import InsufficientSample, ValidationError
 from .linalg import hermitian_part
@@ -116,16 +118,20 @@ def ks_two_sample(x, y, level: float = DEFAULT_LEVEL, description: str = "") -> 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("samples contain NaN or infinite values")
     xs, ys = np.sort(x), np.sort(y)
-    pooled = np.concatenate([xs, ys])
-    cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
     return _two_sample(
         description or f"two-sample KS at level {level:g}",
-        float(np.abs(cdf_x - cdf_y).max()),
+        max(_cdf_gap(xs, ys), _cdf_gap(ys, xs)),
         ks_critical_value(xs.size, ys.size, level),
         n1=int(xs.size),
         n2=int(ys.size),
     )
+
+
+def _cdf_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |F_a - F_b| over sorted ``a``, its CDF from its tie groups, b's from a search."""
+    ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
+    gaps = (ends + 1) / a.size - np.searchsorted(b, a[ends], side="right") / b.size
+    return float(np.abs(gaps).max())
 
 
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
@@ -142,23 +148,37 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return hermitian_part(g)
 
 
-def _frame_columns(frames: np.ndarray) -> np.ndarray:
-    """The frames side by side as one m x (n r) matrix [H_1 ... H_n], contiguous."""
+def _laid_out(frames: np.ndarray) -> np.ndarray:
+    """The frames as an (n, m, r) view of one m x (n r) matrix, which the kernels read as is."""
     n, m, r = frames.shape
-    return np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(m, n * r)
+    return linalg._frame_columns(frames).reshape(m, n, r).transpose(1, 0, 2)
 
 
-def _functional(frames: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Re tr(A H B H^H) per frame, A = ``left`` and B = ``right`` each in one product.
+def _functionals(frames: np.ndarray, lefts, rights=None) -> np.ndarray:
+    """Re tr(A_j H B_j H^H) per frame, shaped (J, n), each A_j and B_j in one product.
 
-    With B the identity this is the projection functional, right-invariant
-    draw by draw; a non-scalar B makes it so only in distribution.
+    ``rights=None`` means B_j = I, the projection functional: right-invariant
+    draw by draw (a non-scalar B makes it so only in distribution).  Each
+    product is released before the next is formed, which bounds the memory.
     """
     n, m, r = frames.shape
-    t = _frame_columns(frames)
-    weighted = (left @ t).reshape(m * n, r) @ right
-    products = t.view(np.float64) * weighted.view(np.float64).reshape(m, 2 * n * r)
-    return products.reshape(m, n, 2 * r).sum(axis=(0, 2))
+    t = linalg._frame_columns(frames)
+    values = np.empty((len(lefts), n))
+    for j, left in enumerate(lefts):
+        weighted = left @ t
+        if rights is not None:
+            weighted = weighted.reshape(m * n, r) @ rights[j]
+        products = weighted.view(np.float64).reshape(m, n, 2 * r)
+        products *= t.view(np.float64).reshape(m, n, 2 * r)
+        values[j] = products.sum(axis=(0, 2))
+        del weighted, products
+    return values
+
+
+def _ks_subtests(kind: str, first, second, level: float, note: str = "") -> list[CheckResult]:
+    """KS of each row of ``first`` against the same row of ``second``, at the Bonferroni level."""
+    return [ks_two_sample(x, y, level, f"KS on {kind} functional {j + 1} ({note}Bonferroni "
+                          f"level {level:g})") for j, (x, y) in enumerate(zip(first, second))]
 
 
 def _projection_moments(frames: np.ndarray) -> tuple[np.ndarray, float]:
@@ -167,11 +187,16 @@ def _projection_moments(frames: np.ndarray) -> tuple[np.ndarray, float]:
     sum_ij |(H H^H)_ij|^2 = ||H^H H||_F^2 needs only the r x r Grams.  The
     variance is clamped at zero: at m = r it is a difference of equal terms.
     """
-    n = frames.shape[0]
-    t = _frame_columns(frames)
+    n, _, r = frames.shape
+    t = linalg._frame_columns(frames)
     mean = t @ t.conj().T / n
-    grams = np.swapaxes(frames.conj(), 1, 2) @ frames
-    variance = (np.vdot(grams, grams).real - n * np.vdot(mean, mean).real) / (n - 1)
+    if r > 2:
+        grams = np.swapaxes(frames.conj(), 1, 2) @ frames
+        squares = np.vdot(grams, grams).real
+    else:
+        diag, cross = linalg._small_gram(frames)
+        squares = np.vdot(diag, diag) + (2 * np.vdot(cross, cross).real if r == 2 else 0.0)
+    variance = (squares - n * np.vdot(mean, mean).real) / (n - 1)
     return mean, max(float(variance), 0.0)
 
 
@@ -184,27 +209,15 @@ def _two_sample_check(
     KS on randomized projection functionals, Bonferroni-corrected, and the
     Frobenius distance of the mean projections against its standard error.
     """
-    frames = (dist._orient_with_retry(draw(n), draw), dist.sample_cmacg_batch(params, n, rng))
-    subtests = []
-    per_functional_level = level / n_functionals
-    for j in range(n_functionals):
-        weight = _random_hermitian(params.m, rng)
-        subtests.append(
-            ks_two_sample(
-                *(_functional(side, weight, np.eye(params.r)) for side in frames),
-                level=per_functional_level,
-                description=f"KS on projection functional {j + 1} (Bonferroni level "
-                f"{per_functional_level:g})",
-            )
-        )
+    frames = [_laid_out(dist._orient_with_retry(draw(n), draw))]
+    frames.append(_laid_out(dist.sample_cmacg_batch(params, n, rng)))
+    weights = [_random_hermitian(params.m, rng) for _ in range(n_functionals)]
+    values = [_functionals(side, weights) for side in frames]
+    subtests = _ks_subtests("projection", *values, level / n_functionals)
     (mean_1, var_1), (mean_2, var_2) = (_projection_moments(side) for side in frames)
-    subtests.append(
-        _two_sample(
-            f"mean projection Frobenius distance vs {k:g} SE",
-            float(np.linalg.norm(mean_1 - mean_2)),
-            k * math.sqrt((var_1 + var_2) / n) + MEAN_CHECK_ATOL,
-        )
-    )
+    threshold = k * math.sqrt((var_1 + var_2) / n) + MEAN_CHECK_ATOL
+    subtests.append(_two_sample(f"mean projection Frobenius distance vs {k:g} SE",
+                                float(np.linalg.norm(mean_1 - mean_2)), threshold))
     return _worst_subtest(name, subtests, n)
 
 
@@ -257,33 +270,23 @@ def unitary_invariance_check(
     """
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
-    frames = dist.sample_cmacg_batch(params, n, rng)
+    frames = _laid_out(dist.sample_cmacg_batch(params, n, rng))
     if unitary is None:
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
-    rotated = frames @ unitary
+    # H U for every frame: one product on the rows of the laid-out frames
+    rotated = linalg._frame_columns(frames).reshape(m * n, r) @ unitary
+    rotated = rotated.reshape(m, n, r).transpose(1, 0, 2)
 
-    weight, identity = _random_hermitian(m, rng), np.eye(r)
-    base, turned = (_functional(side, weight, identity) for side in (frames, rotated))
-    scale = max(1.0, float(np.abs(base).max()))
-    subtests = [
-        _two_sample(
-            "pointwise identity of projection functional",
-            float(np.abs(turned - base).max()),
-            1e-10 * scale,
-        )
-    ]
-    per_functional_level = level / n_functionals
-    for j in range(n_functionals if r > 1 else 0):
-        left = _random_hermitian(m, rng)
-        right = _random_hermitian(r, rng)
-        subtests.append(
-            ks_two_sample(
-                *(_functional(side, left, right) for side in (frames, rotated)),
-                level=per_functional_level,
-                description=f"KS on bilinear functional {j + 1} (paired draws, "
-                f"Bonferroni level {per_functional_level:g})",
-            )
-        )
+    weight = _random_hermitian(m, rng)
+    pairs = [(_random_hermitian(m, rng), _random_hermitian(r, rng))
+             for _ in range(n_functionals if r > 1 else 0)]
+    lefts, rights = zip((weight, np.eye(r)), *pairs)
+    base, turned = (_functionals(side, lefts, rights) for side in (frames, rotated))
+    pointwise = float(np.abs(turned[0] - base[0]).max())
+    threshold = 1e-10 * max(1.0, float(np.abs(base[0]).max()))
+    subtests = [_two_sample("pointwise identity of projection functional", pointwise, threshold)]
+    level /= n_functionals
+    subtests += _ks_subtests("bilinear", base[1:], turned[1:], level, "paired draws, ")
     return _worst_subtest("unitary_invariance", subtests, n)
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -59,7 +60,8 @@ class TestCmacgParams:
     def test_cached_quantities_consistent(self):
         rng = np.random.default_rng(0)
         params = CmacgParams(random_hpd(rng, 4, 30.0), 2)
-        assert np.abs(params.cov_inv.mat @ params.cov.mat - np.eye(4)).max() <= 1e-10
+        whitened = params.chol_inv @ params.cov.mat @ params.chol_inv.conj().T
+        assert np.abs(whitened - np.eye(4)).max() <= 1e-10
         assert abs(params.logdet_cov - logdet_hpd(params.cov)) <= 1e-10
 
     def test_rejects_ill_conditioned(self):
@@ -182,8 +184,8 @@ class TestCmacgSampler:
             left = verify._random_hermitian(2, rng)
             right = verify._random_hermitian(2, rng)
             result = verify.ks_two_sample(
-                verify._functional(frames_1, left, right),
-                verify._functional(frames_2, left, right),
+                verify._functionals(frames_1, [left], [right])[0],
+                verify._functionals(frames_2, [left], [right])[0],
                 level=0.01 / 3,
             )
             assert result.passed
@@ -253,8 +255,8 @@ class TestUniformStiefel:
         weights = [verify._random_hermitian(3, make_rng(33)) for _ in range(3)]
         for weight in weights:
             result = verify.ks_two_sample(
-                verify._functional(base, weight, np.eye(2)),
-                verify._functional(rotated, weight, np.eye(2)),
+                verify._functionals(base, [weight])[0],
+                verify._functionals(rotated, [weight])[0],
                 level=0.01 / len(weights),
             )
             assert result.passed
@@ -357,6 +359,71 @@ class TestLogDensity:
         frames = np.stack([[[1.0], [0.0]], [[1.01], [0.0]]]).astype(complex)
         with pytest.raises(NotOnManifold, match="frame 1"):
             cmacg_log_density_batch(params, frames)
+
+    def test_single_frame_validated_once(self, monkeypatch):
+        real_residual = dist.linalg._semi_unitary_residual
+        calls = []
+
+        def counted(frames):
+            calls.append(frames.shape)
+            return real_residual(frames)
+
+        monkeypatch.setattr(dist.linalg, "_semi_unitary_residual", counted)
+        rng = np.random.default_rng(20)
+        params = CmacgParams(random_hpd(rng, 3, 10.0), 2)
+        frame = random_frame(rng, 3, 2)
+        cmacg_log_density(params, frame)
+        assert len(calls) == 1
+        cmacg_log_density(params, StiefelPoint(frame))
+        assert len(calls) == 3  # StiefelPoint validates on construction, the density once
+
+    @pytest.mark.parametrize("stretch,accepted", [(2.5e-9, True), (1e-8, False)])
+    def test_raw_frame_tolerance_edge(self, stretch, accepted):
+        # a frame scaled by 1 + s has residual (1 + s)^2 - 1, about 2s: 5e-9 and 2e-8
+        rng = np.random.default_rng(21)
+        params = CmacgParams(random_hpd(rng, 3, 10.0), 2)
+        frame = random_frame(rng, 3, 2)
+        stretched = frame * (1 + stretch)
+        residual = np.abs(stretched.conj().T @ stretched - np.eye(2)).max()
+        assert residual == pytest.approx(2 * stretch, rel=1e-3)
+        if accepted:
+            assert np.isfinite(cmacg_log_density(params, stretched))
+        else:
+            with pytest.raises(NotOnManifold):
+                cmacg_log_density(params, stretched)
+
+    def test_stiefel_point_matches_raw_frame(self):
+        rng = np.random.default_rng(22)
+        params = CmacgParams(random_hpd(rng, 4, 100.0), 2)
+        for _ in range(10):
+            frame = random_frame(rng, 4, 2)
+            assert cmacg_log_density(params, StiefelPoint(frame)) == cmacg_log_density(params, frame)
+
+
+def mp_log_density(cov, frame):
+    """-r logdet(P) - m logdet(H^H P^{-1} H) of the given floats, in 50-digit arithmetic."""
+    m, r = frame.shape
+    with mpmath.workdps(50):
+        p = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in cov])
+        h = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in frame])
+        inner = h.H * (mpmath.inverse(p) * h)
+        return -r * mpmath.log(mpmath.re(mpmath.det(p))) - m * mpmath.log(mpmath.re(mpmath.det(inner)))
+
+
+class TestDensityOracle:
+    """The density at the parameter condition edge against a high-precision reference."""
+
+    @pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (6, 3), (3, 1)])
+    def test_matches_mpmath_at_condition_edge(self, m, r):
+        # random_hpd at exactly 1e10 can round past PARAM_MAX_COND
+        params = CmacgParams(random_hpd(np.random.default_rng(5), m, 0.99e10), r)
+        frames = sample_cmacg_batch(params, 30, make_rng(5))
+        values = cmacg_log_density_batch(params, frames)
+        worst = 0.0
+        for frame, value in zip(frames, values):
+            reference = mp_log_density(params.cov.mat, frame)
+            worst = max(worst, float(abs(reference - value)) / max(1.0, float(abs(reference))))
+        assert worst <= 1e-10
 
 
 class TestProjectionMatrix:

@@ -18,7 +18,13 @@ from cmacg import (
     polar_decompose,
     sample_complex_matrix_normal_batch,
 )
-from cmacg.linalg import _orientation_batch, _semi_unitary_residual
+from cmacg.linalg import (
+    _frame_columns,
+    _gram_logdet,
+    _orientation_batch,
+    _semi_unitary_residual,
+    _small_gram,
+)
 from conftest import random_frame, random_hpd, random_unitary
 
 
@@ -333,3 +339,38 @@ class TestLogdet:
         for c in (0.5, 2.0, 100.0):
             scaled = HermitianPD(c * a.mat)
             assert abs(logdet_hpd(scaled) - (4 * np.log(c) + logdet_hpd(a))) <= 1e-10
+
+
+def qr_gram_logdet(x):
+    """log det(X^H X) as 2 sum log|R_ii| of a QR factorization, backward stable in X."""
+    upper = np.linalg.qr(x)[1]
+    return 2 * np.log(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))).sum(axis=-1)
+
+
+class TestGramLogdet:
+    """The inner-form log-det kernel and the side-by-side layout it is fed from."""
+
+    @pytest.mark.parametrize("m,r", [(1, 1), (3, 1), (2, 2), (3, 2), (6, 3), (12, 4)])
+    def test_matches_qr_oracle(self, m, r):
+        rng = np.random.default_rng(10 * m + r)
+        x = rng.standard_normal((200, m, r)) + 1j * rng.standard_normal((200, m, r))
+        assert np.abs(_gram_logdet(x) - qr_gram_logdet(x)).max() <= 1e-12
+
+    def test_near_parallel_columns_avoid_cancellation(self):
+        # a d - |b|^2 loses six digits here; the orthogonal part keeps them
+        rng = np.random.default_rng(11)
+        first = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        second = first + 1e-3 * (rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3)))
+        x = np.stack([first, second], axis=-1)
+        assert np.abs(_gram_logdet(x) - qr_gram_logdet(x)).max() <= 1e-10
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_small_gram_reads_a_laid_out_stack_in_place(self, r):
+        rng = np.random.default_rng(12 + r)
+        frames = np.stack([random_frame(rng, 5, r) for _ in range(50)])
+        columns = _frame_columns(frames)
+        laid_out = columns.reshape(5, 50, r).transpose(1, 0, 2)
+        assert np.shares_memory(_frame_columns(laid_out), columns)
+        for got, want in zip(_small_gram(laid_out), _small_gram(frames)):
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-15

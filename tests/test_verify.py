@@ -29,7 +29,39 @@ def diag_params(entries, r):
     return CmacgParams(np.diag(entries).astype(complex), r)
 
 
+def pooled_search_statistic(x, y):
+    """The KS statistic from both empirical CDFs searched at every pooled point."""
+    xs, ys = np.sort(x), np.sort(y)
+    pooled = np.concatenate([xs, ys])
+    cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
 class TestKsTwoSample:
+    @pytest.mark.parametrize(
+        "case", ["rounded_normals", "all_equal", "disjoint", "interleaved", "unequal_sizes"]
+    )
+    def test_statistic_bitwise_equal_to_pooled_search(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(40):
+            if case == "rounded_normals":
+                x = np.round(rng.standard_normal(300), 1)
+                y = np.round(rng.standard_normal(300) + rng.uniform(0, 0.3), 1)
+            elif case == "all_equal":
+                x = np.full(200, 1.5)
+                y = np.full(200, rng.choice([1.5, 2.0]))
+            elif case == "disjoint":
+                x = np.round(rng.uniform(0, 1, 250), 2)
+                y = np.round(rng.uniform(1, 2, 150), 2)
+            elif case == "interleaved":
+                grid = np.arange(400.0)
+                x, y = grid[::2], grid[1::2] + rng.integers(0, 2) * rng.choice([-1.0, 0.0])
+            else:
+                x = rng.integers(0, 5, 120).astype(float)
+                y = rng.integers(0, 7, 1000).astype(float)
+            assert ks_two_sample(x, y).statistic == pooled_search_statistic(x, y)
+
     def test_identical_samples(self):
         x = np.linspace(0.0, 1.0, 500)
         result = ks_two_sample(x, x.copy())
@@ -131,8 +163,8 @@ class TestUnitaryInvarianceCheck:
         frames = verify.dist.sample_cmacg_batch(params, 5000, rng)
         q = random_unitary(np.random.default_rng(25), 1)
         weight = verify._random_hermitian(2, rng)
-        base = verify._functional(frames, weight, np.eye(1))
-        rotated = verify._functional(frames @ q, weight, np.eye(1))
+        base = verify._functionals(frames, [weight])[0]
+        rotated = verify._functionals(frames @ q, [weight])[0]
         assert np.abs(base - rotated).max() <= 1e-10 * max(1.0, np.abs(base).max())
 
     def test_insufficient_sample(self):
@@ -245,10 +277,54 @@ class TestFrameFunctionals:
             frames = frames @ random_unitary(rng, r)
         left = verify._random_hermitian(m, rng)
         right = verify._random_hermitian(r, rng)
-        values = verify._functional(frames, left, right)
+        values = verify._functionals(frames, [left], [right])[0]
         expected = [np.trace(left @ h @ right @ h.conj().T).real for h in frames]
         assert values.shape == (len(frames),)
         assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("with_rights", [True, False])
+    @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4)])
+    def test_functionals_match_trace(self, m, r, with_rights):
+        rng = np.random.default_rng(7 * m + r)
+        frames = np.stack([random_frame(rng, m, r) for _ in range(30)])
+        lefts = [verify._random_hermitian(m, rng) for _ in range(3)]
+        rights = [verify._random_hermitian(r, rng) for _ in range(3)] if with_rights else None
+        values = verify._functionals(frames, lefts, rights)
+        expected = [
+            [np.trace(a @ h @ b @ h.conj().T).real for h in frames]
+            for a, b in zip(lefts, rights or [np.eye(r)] * 3)
+        ]
+        assert values.shape == (3, 30)
+        assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        # a sample laid out once reads the same, bit for bit
+        np.testing.assert_array_equal(
+            verify._functionals(verify._laid_out(frames), lefts, rights), values
+        )
+
+    @pytest.mark.parametrize("m,r", [(3, 2), (12, 4)])
+    def test_flat_right_product_bitwise_equal_to_batched(self, m, r):
+        # the rotation in unitary_invariance: one (m n, r) @ (r, r) product
+        n = 2000
+        frames = verify.dist.sample_cmacg_batch(
+            CmacgParams(random_hpd(np.random.default_rng(m), m, 20.0), r), n, make_rng(45)
+        )
+        unitary = random_unitary(np.random.default_rng(r), r)
+        columns = verify.linalg._frame_columns(verify._laid_out(frames))
+        flat = (columns.reshape(m * n, r) @ unitary).reshape(m, n, r).transpose(1, 0, 2)
+        np.testing.assert_array_equal(flat, frames @ unitary)
+
+    def test_unitary_invariance_memory_below_five_stacks(self):
+        # the sample is kept laid out, so every product is released before
+        # the next: with two products alive at once the peak reads 5.7 stacks
+        m, r, n = 3, 2, 50000
+        tracemalloc.start()
+        try:
+            result = unitary_invariance_check(diag_params([3.0, 2.0, 1.0], r), n, make_rng(46))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.statistic >= 0.0
+        assert peak < 5 * n * m * r * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4), (2, 2), (4, 4)])
     def test_projection_moments_match_explicit_projections(self, m, r):
