@@ -7,21 +7,19 @@ returns a ``CheckResult``:
 - ``normalization_check``: the density integrates to one against uniform
   draws (uniform importance sampling; the uniform sampler is exact).
 - ``unitary_invariance_check``: right multiplication by a fixed unitary
-  leaves the sampled orientation distribution unchanged.
-- ``corollary_check``: orientations of left-transformed draws match direct
-  draws under the transformed parameter.
-- ``general_class_check``: orientations of scale-mixture draws match direct
-  CMACG draws.
+  keeps the projection draw by draw, and the rotated draws follow CMACG(P).
+- ``corollary_check``: orientations of left-transformed draws follow CMACG
+  under the transformed parameter.
+- ``general_class_check``: orientations of scale-mixture draws follow CMACG.
 - ``normal_covariance_check``: the stacked real/imaginary column vector has
   the stated block covariance.
 
-Distributions on the manifold are compared through randomized functionals
-Re tr(A H B H^H), Bonferroni-corrected; with B = I they depend only on the
-projection H H^H, hence on the subspace.  Each sample is laid out once, as
-one m x (n r) matrix on which every functional takes one matrix product per
-weight; the mean-projection subtest needs only m x m and r x r sums, so
-memory grows with n*m*r, not n*m^2.  Each subtest is a two-sample
-``CheckResult``, and the check reports the worst margin.  Mean-based verdicts use
+The three middle checks test one sample against an exact law.  If
+H ~ CMACG(P) and P = L L^H, the orientation of L^{-1} H is uniform on the
+Stiefel manifold (Chikuse, Statistics on Special Manifolds, 2003), whose
+marginals are known; each is tested by a one-sample Kolmogorov-Smirnov test
+against the DKW-Massart bound (Massart, Ann. Probab. 1990), Bonferroni-
+corrected, and the check reports the worst margin.  Mean-based verdicts use
 |estimate - target| <= k * SE + atol; the small absolute floor covers
 degenerate cases whose integrand is deterministic and the SE vanishes.
 
@@ -38,8 +36,8 @@ import numpy as np
 from . import distributions as dist
 from . import linalg
 from .distributions import CmacgParams, ComplexMatrixNormalParams
-from .errors import InsufficientSample, ValidationError
-from .linalg import hermitian_part
+from .errors import DimensionMismatch, InsufficientSample, RankDeficient, ValidationError
+from .linalg import as_complex_matrix, hermitian_part  # noqa: F401 - kept as verify.hermitian_part
 from .special import ManifoldDims
 
 DEFAULT_K = 4.0
@@ -75,8 +73,9 @@ class CheckResult:
 
     The check that builds it decides ``verdict`` by its own rule, which
     ``kind`` names: a ``"verification_report"`` passes at statistic <=
-    threshold, a ``"two_sample"`` comparison only at statistic < threshold.
-    ``details`` carries whatever else the check measured.
+    threshold, a ``"two_sample"`` one (a KS test or a pointwise identity)
+    only at statistic < threshold.  ``details`` carries whatever else the
+    check measured.
     """
 
     name: str
@@ -134,91 +133,75 @@ def _cdf_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(gaps).max())
 
 
+def _ks_uniform(u, level: float, description: str) -> CheckResult:
+    """One-sample KS of ``u`` against Uniform(0, 1).  The critical value is the DKW-Massart
+    bound sqrt(ln(2/level) / (2n)), which sup|F_n - F| exceeds with probability at most
+    ``level`` at every n.  F_n jumps from (i - 1)/n to i/n at the i-th order statistic, so
+    the gaps on both sides of the jumps give the sup, ties included."""
+    u = np.sort(np.asarray(u, dtype=float).ravel())
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("sample contains NaN or infinite values")
+    steps = np.arange(u.size + 1) / u.size
+    statistic = max(float((steps[1:] - u).max()), float((u - steps[:-1]).max()))
+    return _two_sample(description, statistic, math.sqrt(math.log(2.0 / level) / (2 * u.size)))
+
+
+def _beta_cdf(x, a: int, b: int) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) for integers a, b >= 1: P(Bin(a + b - 1, x) >= a)."""
+    x = np.clip(x, 0.0, 1.0)
+    trials = a + b - 1
+    return sum(math.comb(trials, k) * x**k * (1.0 - x) ** (trials - k)
+               for k in range(a, trials + 1))
+
+
+def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _exact_law_subtests(
+    columns: np.ndarray, r: int, chol_inv: np.ndarray, rng: np.random.Generator,
+    level: float, n_functionals: int,
+) -> list[CheckResult]:
+    """KS subtests of a CMACG(L L^H) sample, laid out as one m x (n r) matrix, against the
+    uniform law's marginals after whitening.  Each of ``n_functionals`` random directions
+    (e, f) gives ||H^H e||^2 ~ Beta(r, m - r) (m > r), |e^H H f|^2 ~ Beta(1, m - 1)
+    (r > 1; at r = 1 it is the first) and arg(e^H H f), uniform.
+
+    The sample is whitened in place, W = L^{-1} H, so no second copy of it is alive while
+    the orientation kernel reads W's transposed view.  That kernel is called directly,
+    not through the samplers' redraw: a whitened row has nothing to redraw."""
+    m, n = columns.shape[0], columns.shape[1] // r
+    columns[...] = chol_inv @ columns
+    frames, bad = linalg._orientation_batch(columns.reshape(m, n, r).transpose(1, 0, 2))
+    del columns
+    if bad.any():
+        raise RankDeficient(f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
+    lefts, rights = _unit_vectors(rng, n_functionals, m), _unit_vectors(rng, n_functionals, r)
+    # e_j^H H for every frame and direction j, one product on the frames' layout
+    products = (lefts.conj() @ linalg._frame_columns(frames)).reshape(n_functionals, n, r)
+    del frames
+    entries, laws = np.einsum("jnk,jk->jn", products, rights), []
+    if m > r:
+        spans = np.einsum("jnk,jnk->jn", *[products.view(np.float64)] * 2)
+        laws.append(("||H^H e||^2", f"Beta({r}, {m - r})", _beta_cdf(spans, r, m - r)))
+    if r > 1:
+        moduli = entries.real**2 + entries.imag**2
+        laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})", _beta_cdf(moduli, 1, m - 1)))
+    laws.append(("arg(e^H H f)", "Uniform(-pi, pi]", np.angle(entries) / (2 * math.pi) + 0.5))
+    level /= len(laws) * n_functionals
+    return [_ks_uniform(u, level, f"KS of {functional} against {law}, direction {j + 1} "
+                        f"(whitened; Bonferroni level {level:g})")
+            for functional, law, uniforms in laws for j, u in enumerate(uniforms)]
+
+
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
     """The subtest with the worst margin, reported under the check's name."""
     worst = max(subtests, key=lambda s: s.margin)
     description = f"{worst.name}; worst margin of {len(subtests)} subtests"
     return replace(
-        worst, name=name, details={"n1": n, "n2": n, "functional_description": description}
+        worst, name=name, details={"n_samples": n, "functional_description": description}
     )
-
-
-def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(g)
-
-
-def _laid_out(frames: np.ndarray) -> np.ndarray:
-    """The frames as an (n, m, r) view of one m x (n r) matrix, which the kernels read as is."""
-    n, m, r = frames.shape
-    return linalg._frame_columns(frames).reshape(m, n, r).transpose(1, 0, 2)
-
-
-def _functionals(frames: np.ndarray, lefts, rights=None) -> np.ndarray:
-    """Re tr(A_j H B_j H^H) per frame, shaped (J, n), each A_j and B_j in one product.
-
-    ``rights=None`` means B_j = I, the projection functional: right-invariant
-    draw by draw (a non-scalar B makes it so only in distribution).  Each
-    product is released before the next is formed, which bounds the memory.
-    """
-    n, m, r = frames.shape
-    t = linalg._frame_columns(frames)
-    values = np.empty((len(lefts), n))
-    for j, left in enumerate(lefts):
-        weighted = left @ t
-        if rights is not None:
-            weighted = weighted.reshape(m * n, r) @ rights[j]
-        products = weighted.view(np.float64).reshape(m, n, 2 * r)
-        products *= t.view(np.float64).reshape(m, n, 2 * r)
-        values[j] = products.sum(axis=(0, 2))
-        del weighted, products
-    return values
-
-
-def _ks_subtests(kind: str, first, second, level: float, note: str = "") -> list[CheckResult]:
-    """KS of each row of ``first`` against the same row of ``second``, at the Bonferroni level."""
-    return [ks_two_sample(x, y, level, f"KS on {kind} functional {j + 1} ({note}Bonferroni "
-                          f"level {level:g})") for j, (x, y) in enumerate(zip(first, second))]
-
-
-def _projection_moments(frames: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean of H H^H and its summed entry variance (ddof 1), with no (n, m, m) array.
-
-    sum_ij |(H H^H)_ij|^2 = ||H^H H||_F^2 needs only the r x r Grams.  The
-    variance is clamped at zero: at m = r it is a difference of equal terms.
-    """
-    n, _, r = frames.shape
-    t = linalg._frame_columns(frames)
-    mean = t @ t.conj().T / n
-    if r > 2:
-        grams = np.swapaxes(frames.conj(), 1, 2) @ frames
-        squares = np.vdot(grams, grams).real
-    else:
-        diag, cross = linalg._small_gram(frames)
-        squares = np.vdot(diag, diag) + (2 * np.vdot(cross, cross).real if r == 2 else 0.0)
-    variance = (squares - n * np.vdot(mean, mean).real) / (n - 1)
-    return mean, max(float(variance), 0.0)
-
-
-def _two_sample_check(
-    name: str, draw, params: CmacgParams, n: int, rng: np.random.Generator,
-    level: float, k: float, n_functionals: int,
-) -> CheckResult:
-    """Orientations of ``draw(n)`` against n direct CMACG(params) draws.
-
-    KS on randomized projection functionals, Bonferroni-corrected, and the
-    Frobenius distance of the mean projections against its standard error.
-    """
-    frames = [_laid_out(dist._orient_with_retry(draw(n), draw))]
-    frames.append(_laid_out(dist.sample_cmacg_batch(params, n, rng)))
-    weights = [_random_hermitian(params.m, rng) for _ in range(n_functionals)]
-    values = [_functionals(side, weights) for side in frames]
-    subtests = _ks_subtests("projection", *values, level / n_functionals)
-    (mean_1, var_1), (mean_2, var_2) = (_projection_moments(side) for side in frames)
-    threshold = k * math.sqrt((var_1 + var_2) / n) + MEAN_CHECK_ATOL
-    subtests.append(_two_sample(f"mean projection Frobenius distance vs {k:g} SE",
-                                float(np.linalg.norm(mean_1 - mean_2)), threshold))
-    return _worst_subtest(name, subtests, n)
 
 
 def normalization_check(
@@ -259,34 +242,31 @@ def unitary_invariance_check(
     unitary: np.ndarray | None = None,
     n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
-    """Compare functionals of draws against the same draws right-multiplied.
+    """Right multiplication by a unitary U, which defaults to a uniform draw.
 
-    Projection functionals are right-invariant pointwise, so that subtest
-    must agree to round-off.  Bilinear functionals with a non-scalar inner
-    weight are only equal in distribution; they are compared by KS on the
-    paired samples, which is conservative under the null and exactly zero
-    for the identity unitary.  At r = 1 a real scalar B adds nothing to the
-    pointwise subtest, which is then the whole check.
+    ||H^H e||^2 depends only on the projection H H^H, so it must agree for H
+    and H U draw by draw, to round-off; a finite r x r ``unitary`` that is
+    not unitary fails there.  H U must still follow CMACG(P), which the
+    exact-law subtests test; as H comes from the sampler, they test it too.
     """
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
-    frames = _laid_out(dist.sample_cmacg_batch(params, n, rng))
+    columns = linalg._frame_columns(dist.sample_cmacg_batch(params, n, rng))
     if unitary is None:
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
-    # H U for every frame: one product on the rows of the laid-out frames
-    rotated = linalg._frame_columns(frames).reshape(m * n, r) @ unitary
-    rotated = rotated.reshape(m, n, r).transpose(1, 0, 2)
-
-    weight = _random_hermitian(m, rng)
-    pairs = [(_random_hermitian(m, rng), _random_hermitian(r, rng))
-             for _ in range(n_functionals if r > 1 else 0)]
-    lefts, rights = zip((weight, np.eye(r)), *pairs)
-    base, turned = (_functionals(side, lefts, rights) for side in (frames, rotated))
-    pointwise = float(np.abs(turned[0] - base[0]).max())
-    threshold = 1e-10 * max(1.0, float(np.abs(base[0]).max()))
-    subtests = [_two_sample("pointwise identity of projection functional", pointwise, threshold)]
-    level /= n_functionals
-    subtests += _ks_subtests("bilinear", base[1:], turned[1:], level, "paired draws, ")
+    unitary = as_complex_matrix(unitary, "unitary")
+    if unitary.shape != (r, r):
+        raise DimensionMismatch(f"unitary must be {r}x{r}, got {unitary.shape}")
+    # e^H H per frame, and e^H (H U) as its product with U
+    before = (_unit_vectors(rng, 1, m).conj() @ columns).reshape(n, r)
+    base, turned = (np.einsum("ij,ij->i", x, x.conj()).real for x in (before, before @ unitary))
+    threshold = 1e-10 * max(1.0, float(base.max()))
+    subtests = [_two_sample("pointwise identity of ||H^H e||^2 under H -> H U",
+                            float(np.abs(turned - base).max()), threshold)]
+    del before, base, turned  # not to be alive while the exact-law subtests run
+    # H U for every frame, one product on the laid-out rows; H is released
+    columns = (columns.reshape(m * n, r) @ unitary).reshape(m, n * r)
+    subtests += _exact_law_subtests(columns, r, params.chol_inv, rng, level, n_functionals)
     return _worst_subtest("unitary_invariance", subtests, n)
 
 
@@ -296,14 +276,12 @@ def corollary_check(
     n: int,
     rng: np.random.Generator,
     level: float = DEFAULT_LEVEL,
-    k: float = DEFAULT_K,
     n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
-    """Orientations of transformed draws vs direct draws under the new parameter.
+    """Orientations of transformed draws B Z follow CMACG(B P B^H).
 
-    Side one draws full matrices, transforms them and takes orientations;
-    side two samples directly with the transformed parameter, and
-    ``_two_sample_check`` compares the two independent samples.
+    The orientations are whitened by the Cholesky factor of the transformed
+    parameter and tested against the uniform law's marginals.
     """
     _require_samples("corollary", n)
     target = dist.transform_parameter(params, transform)
@@ -313,7 +291,9 @@ def corollary_check(
     def draw(count: int) -> np.ndarray:
         return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
 
-    return _two_sample_check("corollary", draw, target, n, rng, level, k, n_functionals)
+    columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
+    subtests = _exact_law_subtests(columns, params.r, target.chol_inv, rng, level, n_functionals)
+    return _worst_subtest("corollary", subtests, n)
 
 
 def general_class_check(
@@ -323,16 +303,15 @@ def general_class_check(
     mixture_shape: float | None = DEFAULT_MIXTURE_SHAPE,
     mixture_rate: float = DEFAULT_MIXTURE_RATE,
     level: float = DEFAULT_LEVEL,
-    k: float = DEFAULT_K,
     n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
-    """Orientations of scale-mixture draws vs direct CMACG draws.
+    """Orientations of scale-mixture draws follow CMACG(P).
 
-    Side one divides each normal draw by the square root of an independent
-    gamma variable, producing a draw whose density depends on the data only
+    Each normal draw is divided by the square root of an independent gamma
+    variable, producing a draw whose density depends on the data only
     through the quadratic form in the parameter inverse and is invariant
-    under right unitary maps; its orientation must follow the same CMACG
-    law.  ``mixture_shape=None`` selects the degenerate mixture (weight one).
+    under right unitary maps.  ``mixture_shape=None`` selects the degenerate
+    mixture (weight one).
     """
     _require_samples("general_class", n)
     if mixture_shape is not None and (mixture_shape <= 0 or mixture_rate <= 0):
@@ -346,7 +325,9 @@ def general_class_check(
         weights = rng.gamma(shape=mixture_shape, scale=1.0 / mixture_rate, size=count)
         return z / np.sqrt(weights)[:, None, None]
 
-    return _two_sample_check("general_class", draw, params, n, rng, level, k, n_functionals)
+    columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
+    subtests = _exact_law_subtests(columns, params.r, params.chol_inv, rng, level, n_functionals)
+    return _worst_subtest("general_class", subtests, n)
 
 
 def normal_covariance_check(
@@ -439,9 +420,9 @@ def run_suite(
             outcome = unitary_invariance_check(params, n, rng, level=level)
         elif name == "corollary":
             b = transform if transform is not None else default_transform(params.m, rng)
-            outcome = corollary_check(params, b, n, rng, level=level, k=k)
+            outcome = corollary_check(params, b, n, rng, level=level)
         elif name == "general_class":
-            outcome = general_class_check(params, n, rng, level=level, k=k)
+            outcome = general_class_check(params, n, rng, level=level)
         else:
             outcome = normal_covariance_check(
                 ComplexMatrixNormalParams(params.cov, params.r), n, rng, k=k

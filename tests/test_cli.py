@@ -258,7 +258,7 @@ class TestVerify:
         params = CmacgParams(np.eye(2, dtype=complex), 1)
         results = cmacg.verify.run_suite(params, n=50000, seed=5)
         assert code == (0 if all(outcome.passed for _, outcome in results) else 1)
-        two_sample = {"n1", "n2", "functional_description"}
+        two_sample = {"n_samples", "functional_description"}
         details = {
             "normalization": {"n_samples", "estimate", "std_error", "target", "k", "atol",
                               "m", "r"},

@@ -18,6 +18,7 @@ from cmacg import (
     cmacg_log_density_batch,
     cmacg_log_density_of_transformed,
     derive_rng,
+    hermitian_part,
     logdet_hpd,
     make_rng,
     projection_matrix,
@@ -36,6 +37,17 @@ from conftest import random_frame, random_hpd, random_unitary
 
 def diag_params(entries, r):
     return CmacgParams(np.diag(entries).astype(complex), r)
+
+
+def random_hermitian(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return hermitian_part(g)
+
+
+def trace_functional(frames, left, right=None):
+    """Re tr(A H B H^H) per frame; B = I when ``right`` is None."""
+    weighted = left @ frames if right is None else left @ frames @ right
+    return np.sum(weighted * frames.conj(), axis=(1, 2)).real
 
 
 class TestRng:
@@ -181,11 +193,11 @@ class TestCmacgSampler:
         frames_2 = sample_cmacg_batch(haar, n, make_rng(35))
         rng = make_rng(36)
         for _ in range(3):
-            left = verify._random_hermitian(2, rng)
-            right = verify._random_hermitian(2, rng)
+            left = random_hermitian(2, rng)
+            right = random_hermitian(2, rng)
             result = verify.ks_two_sample(
-                verify._functionals(frames_1, [left], [right])[0],
-                verify._functionals(frames_2, [left], [right])[0],
+                trace_functional(frames_1, left, right),
+                trace_functional(frames_2, left, right),
                 level=0.01 / 3,
             )
             assert result.passed
@@ -252,11 +264,11 @@ class TestUniformStiefel:
         other = sample_uniform_stiefel_batch(ManifoldDims(3, 2), n, make_rng(31))
         q = random_unitary(np.random.default_rng(32), 3)
         rotated = q @ other
-        weights = [verify._random_hermitian(3, make_rng(33)) for _ in range(3)]
+        weights = [random_hermitian(3, make_rng(33)) for _ in range(3)]
         for weight in weights:
             result = verify.ks_two_sample(
-                verify._functionals(base, [weight])[0],
-                verify._functionals(rotated, [weight])[0],
+                trace_functional(base, weight),
+                trace_functional(rotated, weight),
                 level=0.01 / len(weights),
             )
             assert result.passed

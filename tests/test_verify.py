@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,11 +10,14 @@ from cmacg import (
     CheckResult,
     CmacgParams,
     ComplexMatrixNormalParams,
+    DimensionMismatch,
     InsufficientSample,
     ManifoldDims,
+    RankDeficient,
     ValidationError,
     corollary_check,
     general_class_check,
+    hermitian_part,
     ks_two_sample,
     make_rng,
     normal_covariance_check,
@@ -27,6 +31,52 @@ from conftest import random_frame, random_hpd, random_unitary
 
 def diag_params(entries, r):
     return CmacgParams(np.diag(entries).astype(complex), r)
+
+
+def ks_inputs(monkeypatch, frames, chol_inv, seed, n_functionals=1):
+    """What each exact-law subtest of ``frames`` hands to its KS: {functional: (J, n) array}."""
+    real, seen = verify._ks_uniform, {}
+
+    def recording(u, level, description):
+        functional = description[len("KS of "):description.index(" against")]
+        seen.setdefault(functional, []).append(u)
+        return real(u, level, description)
+
+    monkeypatch.setattr(verify, "_ks_uniform", recording)
+    verify._exact_law_subtests(verify.linalg._frame_columns(frames), frames.shape[2], chol_inv,
+                               make_rng(seed), 0.01, n_functionals)
+    monkeypatch.setattr(verify, "_ks_uniform", real)
+    return {functional: np.array(values) for functional, values in seen.items()}
+
+
+def explicit_ks_inputs(frames, seed, n_functionals=1):
+    """The same values from trace forms Re tr(A H B H^H), A = e e^H and B = I or f f^H,
+    and from e^H H f, frame by frame."""
+    _, m, r = frames.shape
+    rng = make_rng(seed)
+    lefts, rights = (verify._unit_vectors(rng, n_functionals, dim) for dim in (m, r))
+    pairs = list(zip(lefts, rights))
+    values = {}
+    if m > r:
+        values["||H^H e||^2"] = [[verify._beta_cdf(
+            np.trace(np.outer(e, e.conj()) @ h @ h.conj().T).real, r, m - r) for h in frames]
+            for e in lefts]
+    if r > 1:
+        values["|e^H H f|^2"] = [[verify._beta_cdf(np.trace(
+            np.outer(e, e.conj()) @ h @ np.outer(f, f.conj()) @ h.conj().T).real, 1, m - 1)
+            for h in frames] for e, f in pairs]
+    values["arg(e^H H f)"] = [[np.angle(e.conj() @ h @ f) / (2 * np.pi) + 0.5 for h in frames]
+                              for e, f in pairs]
+    return {functional: np.array(v) for functional, v in values.items()}
+
+
+def assert_ks_inputs_close(recorded, expected, tol):
+    assert recorded.keys() == expected.keys()
+    for functional, values in recorded.items():
+        gap = np.abs(values - expected[functional])
+        if functional.startswith("arg"):
+            gap = np.minimum(gap, 1.0 - gap)  # a phase next to pi may wrap
+        assert gap.max() <= tol, functional
 
 
 def pooled_search_statistic(x, y):
@@ -149,22 +199,23 @@ class TestUnitaryInvarianceCheck:
         result = unitary_invariance_check(params, 20000, make_rng(6))
         assert result.passed
 
-    def test_identity_unitary_statistic_zero(self):
+    def test_identity_unitary_statistic_zero(self, monkeypatch):
+        # with the exact-law subtests taken out, the pointwise subtest is exact
+        monkeypatch.setattr(verify, "_exact_law_subtests", lambda *args: [])
         params = diag_params([2.0, 1.0], 1)
         result = unitary_invariance_check(
             params, 10000, make_rng(7), unitary=np.eye(1, dtype=complex)
         )
         assert result.statistic == 0.0
 
-    def test_projection_functional_identity_pointwise(self):
-        # the projection functional is right-invariant draw by draw
-        rng = make_rng(8)
+    def test_projection_functional_identity_pointwise(self, monkeypatch):
+        # the span functional ||H^H e||^2, as the exact-law subtests compute it after
+        # whitening, is right-invariant draw by draw
         params = diag_params([3.0, 1.0], 1)
-        frames = verify.dist.sample_cmacg_batch(params, 5000, rng)
+        frames = verify.dist.sample_cmacg_batch(params, 5000, make_rng(8))
         q = random_unitary(np.random.default_rng(25), 1)
-        weight = verify._random_hermitian(2, rng)
-        base = verify._functionals(frames, [weight])[0]
-        rotated = verify._functionals(frames @ q, [weight])[0]
+        base, rotated = (ks_inputs(monkeypatch, sample, params.chol_inv, 8)["||H^H e||^2"]
+                         for sample in (frames, frames @ q))
         assert np.abs(base - rotated).max() <= 1e-10 * max(1.0, np.abs(base).max())
 
     def test_insufficient_sample(self):
@@ -174,13 +225,10 @@ class TestUnitaryInvarianceCheck:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_single_column_passes_on_correct_code(self, m):
-        # at r = 1 the bilinear functional is a scalar multiple of the
-        # projection one, so the pointwise subtest is the whole check
         params = diag_params(np.arange(m, 0, -1.0), 1)
         for seed in range(20):
             result = unitary_invariance_check(params, 10000, make_rng(seed))
             assert result.passed, (seed, result)
-            assert result.details["functional_description"].startswith("pointwise identity")
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_single_column_non_unitary_fails_pointwise(self, m):
@@ -190,6 +238,17 @@ class TestUnitaryInvarianceCheck:
         )
         assert not result.passed
         assert result.details["functional_description"].startswith("pointwise identity")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 1)])
+    def test_rejects_unitary_of_wrong_shape(self, shape):
+        params = diag_params([3.0, 2.0, 1.0], 2)
+        with pytest.raises(DimensionMismatch, match="unitary must be 2x2"):
+            unitary_invariance_check(params, 10000, make_rng(47), unitary=np.eye(*shape))
+
+    def test_rejects_non_finite_unitary(self):
+        params = diag_params([3.0, 2.0, 1.0], 2)
+        with pytest.raises(ValidationError, match="unitary contains NaN"):
+            unitary_invariance_check(params, 10000, make_rng(47), unitary=np.diag([1.0, np.nan]))
 
 
 class TestCorollaryCheck:
@@ -262,12 +321,12 @@ class TestNormalCovarianceCheck:
 
 
 class TestFrameFunctionals:
-    """The one functional kernel and the projection moments, against explicit forms."""
+    """The functionals the exact-law subtests hand to their KS, against explicit forms."""
 
     @pytest.mark.parametrize("layout", ["contiguous", "every_other", "right_multiplied"])
     @pytest.mark.parametrize("m_extra", [0, 1, None])
     @pytest.mark.parametrize("r", [1, 2, 4])
-    def test_functional_matches_trace(self, r, m_extra, layout):
+    def test_functional_matches_trace(self, monkeypatch, r, m_extra, layout):
         m = 12 if m_extra is None else r + m_extra
         rng = np.random.default_rng(100 * r + m)
         frames = np.stack([random_frame(rng, m, r) for _ in range(40)])
@@ -275,31 +334,26 @@ class TestFrameFunctionals:
             frames = frames[::2]
         elif layout == "right_multiplied":
             frames = frames @ random_unitary(rng, r)
-        left = verify._random_hermitian(m, rng)
-        right = verify._random_hermitian(r, rng)
-        values = verify._functionals(frames, [left], [right])[0]
-        expected = [np.trace(left @ h @ right @ h.conj().T).real for h in frames]
-        assert values.shape == (len(frames),)
-        assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        recorded = ks_inputs(monkeypatch, frames, np.eye(m), r + m)
+        assert all(values.shape == (1, len(frames)) for values in recorded.values())
+        assert_ks_inputs_close(recorded, explicit_ks_inputs(frames, r + m), 1e-12)
 
-    @pytest.mark.parametrize("with_rights", [True, False])
+    @pytest.mark.parametrize("whitened", [True, False])
     @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4)])
-    def test_functionals_match_trace(self, m, r, with_rights):
+    def test_functionals_match_trace(self, monkeypatch, m, r, whitened):
+        # whitened: the subtests read the polar factor of L^{-1} H, here from an SVD
         rng = np.random.default_rng(7 * m + r)
         frames = np.stack([random_frame(rng, m, r) for _ in range(30)])
-        lefts = [verify._random_hermitian(m, rng) for _ in range(3)]
-        rights = [verify._random_hermitian(r, rng) for _ in range(3)] if with_rights else None
-        values = verify._functionals(frames, lefts, rights)
-        expected = [
-            [np.trace(a @ h @ b @ h.conj().T).real for h in frames]
-            for a, b in zip(lefts, rights or [np.eye(r)] * 3)
-        ]
-        assert values.shape == (3, 30)
-        assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        chol_inv = CmacgParams(random_hpd(rng, m, 20.0), r).chol_inv if whitened else np.eye(m)
+        u, _, vh = np.linalg.svd(chol_inv @ frames, full_matrices=False)
+        recorded = ks_inputs(monkeypatch, frames, chol_inv, m, n_functionals=3)
+        assert all(values.shape == (3, 30) for values in recorded.values())
+        assert_ks_inputs_close(recorded, explicit_ks_inputs(u @ vh, m, n_functionals=3), 1e-12)
         # a sample laid out once reads the same, bit for bit
-        np.testing.assert_array_equal(
-            verify._functionals(verify._laid_out(frames), lefts, rights), values
-        )
+        laid_out = verify.linalg._frame_columns(frames).reshape(m, 30, r).transpose(1, 0, 2)
+        again = ks_inputs(monkeypatch, laid_out, chol_inv, m, n_functionals=3)
+        for functional, values in recorded.items():
+            np.testing.assert_array_equal(again[functional], values)
 
     @pytest.mark.parametrize("m,r", [(3, 2), (12, 4)])
     def test_flat_right_product_bitwise_equal_to_batched(self, m, r):
@@ -309,13 +363,36 @@ class TestFrameFunctionals:
             CmacgParams(random_hpd(np.random.default_rng(m), m, 20.0), r), n, make_rng(45)
         )
         unitary = random_unitary(np.random.default_rng(r), r)
-        columns = verify.linalg._frame_columns(verify._laid_out(frames))
+        columns = verify.linalg._frame_columns(frames)
         flat = (columns.reshape(m * n, r) @ unitary).reshape(m, n, r).transpose(1, 0, 2)
         np.testing.assert_array_equal(flat, frames @ unitary)
 
+    @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4), (2, 2), (4, 4)])
+    def test_projection_moments_match_explicit_projections(self, monkeypatch, m, r):
+        # ||H^H e||^2 = e^H (H H^H) e, draw by draw and in the mean; at m = r every
+        # projection is the identity, the span functional the constant 1, and no
+        # subtest is spent on it
+        frames = verify.dist.sample_cmacg_batch(
+            CmacgParams(random_hpd(np.random.default_rng(m + r), m, 20.0), r), 2000, make_rng(41)
+        )
+        lefts = verify._unit_vectors(make_rng(41), 3, m)
+        proj = np.einsum("nir,njr->nij", frames, frames.conj())
+        spans = np.einsum("ji,nik,jk->jn", lefts.conj(), proj, lefts).real
+        recorded = ks_inputs(monkeypatch, frames, np.eye(m), 41, n_functionals=3)
+        if m > r:
+            expected = verify._beta_cdf(spans, r, m - r)
+            assert np.abs(recorded["||H^H e||^2"] - expected).max() <= 1e-12
+            means = recorded["||H^H e||^2"].mean(axis=1)
+            assert np.abs(means - expected.mean(axis=1)).max() <= 1e-13
+        else:
+            assert "||H^H e||^2" not in recorded
+            # up to the frames' own semi-unitarity residual
+            assert np.abs(spans - 1.0).max() <= m * verify.linalg.SEMI_UNITARY_ATOL
+
     def test_unitary_invariance_memory_below_five_stacks(self):
-        # the sample is kept laid out, so every product is released before
-        # the next: with two products alive at once the peak reads 5.7 stacks
+        # the rotated sample is whitened in place, so no second copy of it
+        # lives through the orientation: whitened into a new array while the
+        # caller still holds it, the peak reads 5.3 stacks (4.3 in place)
         m, r, n = 3, 2, 50000
         tracemalloc.start()
         try:
@@ -325,21 +402,6 @@ class TestFrameFunctionals:
             tracemalloc.stop()
         assert result.statistic >= 0.0
         assert peak < 5 * n * m * r * np.dtype(np.complex128).itemsize
-
-    @pytest.mark.parametrize("m,r", [(3, 2), (5, 1), (12, 4), (2, 2), (4, 4)])
-    def test_projection_moments_match_explicit_projections(self, m, r):
-        frames = verify.dist.sample_cmacg_batch(
-            CmacgParams(random_hpd(np.random.default_rng(m + r), m, 20.0), r), 2000, make_rng(41)
-        )
-        mean, variance = verify._projection_moments(frames)
-        proj = np.einsum("nir,njr->nij", frames, frames.conj())
-        expected = (proj.real.var(axis=0, ddof=1) + proj.imag.var(axis=0, ddof=1)).sum()
-        assert np.abs(mean - proj.mean(axis=0)).max() <= 1e-13
-        if m > r:
-            assert variance == pytest.approx(expected, rel=1e-9)
-        else:
-            # square frames: every projection is the identity
-            assert math.isfinite(variance) and 0.0 <= variance <= 1e-12
 
     def test_corollary_memory_below_one_projection_stack(self):
         m, r, n = 24, 2, 10000
@@ -353,6 +415,127 @@ class TestFrameFunctionals:
             tracemalloc.stop()
         assert result.statistic >= 0.0
         assert peak < n * m * m * np.dtype(np.complex128).itemsize
+
+
+class TestExactLaw:
+    """The one-sample machinery: exact CDFs, the KS statistic and bound, and whitening."""
+
+    def test_beta_cdf_matches_mpmath(self):
+        # absolute error is what a KS statistic sees
+        x = np.concatenate([[0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.99, 15),
+                            [1 - 1e-3, 1 - 1e-6, 1 - 1e-12, 1.0]])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for a in range(1, 33):
+                for b in range(1, 34 - a):
+                    reference = [float(mpmath.betainc(a, b, 0, float(t), regularized=True))
+                                 for t in x]
+                    worst = max(worst, np.abs(verify._beta_cdf(x, a, b) - reference).max())
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("decimals", [1, 2, 4, None])
+    def test_ks_uniform_is_sup_over_jumps(self, decimals):
+        rng = np.random.default_rng(48 + (decimals or 0))
+        for n in (100, 257, 1000):
+            u = rng.random(n) ** rng.uniform(0.8, 1.25)
+            if decimals is not None:
+                u = np.round(u, decimals)  # ties, and values at 0 and 1
+            brute = 0.0
+            for value in np.unique(u):
+                below, upto = np.sum(u < value) / n, np.sum(u <= value) / n
+                brute = max(brute, abs(upto - value), abs(value - below))
+            result = verify._ks_uniform(u, 0.01, "")
+            assert result.statistic == brute
+            assert result.threshold == math.sqrt(math.log(2 / 0.01) / (2 * n))
+
+    def test_ks_uniform_rejects_nonfinite(self):
+        u = np.linspace(0.0, 1.0, 200)
+        u[7] = np.nan
+        with pytest.raises(ValidationError):
+            verify._ks_uniform(u, 0.01, "")
+
+    def test_whitened_draws_pass_and_unwhitened_fail(self):
+        params = diag_params([3.0, 2.0, 1.0], 2)
+        frames = verify.dist.sample_cmacg_batch(params, 20000, make_rng(50))
+        verdicts = [
+            [s.passed for s in verify._exact_law_subtests(
+                verify.linalg._frame_columns(frames), 2, whitener, make_rng(51), 0.01, 3)]
+            for whitener in (params.chol_inv, np.eye(3))
+        ]
+        assert all(verdicts[0])
+        assert not all(verdicts[1])
+
+    def test_flagged_whitened_row_raises(self, monkeypatch):
+        # a whitened row has nothing to redraw
+        real = verify.linalg._orientation_batch
+
+        def flagging(z):
+            frames, bad = real(z)
+            bad[0] = True
+            return frames, bad
+
+        monkeypatch.setattr(verify.linalg, "_orientation_batch", flagging)
+        with pytest.raises(RankDeficient, match="1 whitened frames"):
+            corollary_check(diag_params([3.0, 2.0, 1.0], 2), np.eye(3), 10000, make_rng(52))
+
+    @pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (6, 3), (3, 1), (12, 4)])
+    def test_condition_edge(self, m, r):
+        rng = np.random.default_rng(10 * m + r)
+        params = CmacgParams(random_hpd(rng, m, 0.99e10), r)
+        n = 10000
+        sample = verify.dist.sample_cmacg_batch(params, n, make_rng(m))
+        columns = verify.linalg._frame_columns(sample)
+        whitened = (params.chol_inv @ columns).reshape(m, n, r).transpose(1, 0, 2)
+        frames, bad = verify.linalg._orientation_batch(whitened)
+        assert not bad.any()
+        assert verify.linalg._semi_unitary_residual(frames).max() <= 1e-10
+        # a unitary transform keeps the transformed parameter at the same condition
+        results = [
+            unitary_invariance_check(params, n, make_rng(0)),
+            corollary_check(params, random_unitary(rng, m), n, make_rng(1)),
+            general_class_check(params, n, make_rng(2)),
+        ]
+        assert all(result.passed for result in results), results
+
+
+class TestMutationPower:
+    """Each injected bug, and the check that catches it in every seed (m=3, r=2, n=50000)."""
+
+    @staticmethod
+    def failing(checks, n=50000, m=3, r=2):
+        params = diag_params(np.arange(m, 0, -1.0), r)
+        return [[name for name, outcome in run_suite(params, n=n, seed=seed, checks=checks)
+                 if not outcome.passed] for seed in range(3)]
+
+    @pytest.mark.parametrize("bug", ["conjugated_first", "plain_transpose"])
+    def test_transform_bug_caught_by_corollary(self, monkeypatch, bug):
+        def transformed(params, b):
+            b = np.asarray(b, dtype=complex)
+            mat = (b.conj().T @ params.cov.mat @ b if bug == "conjugated_first"
+                   else b @ params.cov.mat @ b.T)
+            return CmacgParams(hermitian_part(mat), params.r)
+
+        monkeypatch.setattr(verify.dist, "transform_parameter", transformed)
+        assert self.failing(("corollary",)) == [["corollary"]] * 3
+
+    def test_qr_frames_caught_by_the_three_exact_law_checks(self, monkeypatch):
+        monkeypatch.setattr(verify.dist, "_orientation_batch",
+                            lambda z: (np.linalg.qr(z)[0], np.zeros(len(z), bool)))
+        checks = ("unitary_invariance", "corollary", "general_class")
+        assert self.failing(checks) == [list(checks)] * 3
+        # at m = r every CMACG(P) is Haar, and only e^H H f can see the QR phases
+        assert self.failing(checks[1:], n=20000, m=2, r=2) == [list(checks[1:])] * 3
+
+    @pytest.mark.parametrize("power", [-1.0, 0.5])
+    def test_sampler_parameter_bug_caught_by_unitary_invariance(self, monkeypatch, power):
+        real = verify.dist.sample_cmacg_batch
+
+        def sampler(params, n, rng):
+            w, v = np.linalg.eigh(params.cov.mat)
+            return real(CmacgParams(hermitian_part((v * w**power) @ v.conj().T), params.r), n, rng)
+
+        monkeypatch.setattr(verify.dist, "sample_cmacg_batch", sampler)
+        assert self.failing(("unitary_invariance",)) == [["unitary_invariance"]] * 3
 
 
 class TestVerdictRules:
@@ -393,7 +576,7 @@ class TestVerdictRules:
             "corollary", "two_sample", 0.9, 1.0, "pass"
         )
         assert worst.details == {
-            "n1": 20000, "n2": 20000, "functional_description": "b; worst margin of 3 subtests"
+            "n_samples": 20000, "functional_description": "b; worst margin of 3 subtests"
         }
         # a zero threshold counts as an infinite margin
         zero = verify._worst_subtest("corollary", subtests + [subtest("z", 0.0, 0.0)], 20000)
