@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -147,6 +148,25 @@ class TestSample:
         )
         assert code == 2
         assert "not Hermitian" in capsys.readouterr().err
+
+
+class TestPinnedBytes:
+    # One sample file and the density file of it, as 0.6.0 wrote them on
+    # x86-64 Linux: the CSV encoder, the draw and the density must all keep
+    # these bytes.  The parameter file is written out literally.
+    PARAM = "2,0,0.5,-0.25,0,0.125\n0.5,0.25,1,0,0,0\n0,-0.125,0,0,3,0\n"
+
+    def test_sample_and_density_csv_digests(self, tmp_path):
+        param, draws, dens = (str(tmp_path / name) for name in ("P.csv", "draws.csv", "dens.csv"))
+        with open(param, "w") as handle:
+            handle.write(self.PARAM)
+        assert cli.main(["sample", "--param", param, "--r", "2", "--n", "2000", "--seed", "2020",
+                         "--out", draws]) == 0
+        assert cli.main(["density", "--param", param, "--input", draws, "--out", dens]) == 0
+        assert hashlib.sha256(read_bytes(draws)).hexdigest() == (
+            "ecfca8fa08d1af0bf8d4a65e1a1fbcedbffa8df3de80306d4e306486b71b0fc5")
+        assert hashlib.sha256(read_bytes(dens)).hexdigest() == (
+            "6ebeb2c99ebe6c34d0f417691361f1f8143ed1dea2634f39fb5d7ebd016a4b73")
 
 
 class TestDensity:

@@ -438,6 +438,34 @@ class TestDensityOracle:
         assert worst <= 1e-10
 
 
+def mp_polar_factor(z):
+    """Z (Z^H Z)^{-1/2} of the given floats, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        zm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in z])
+        eigvals, eigvecs = mpmath.eighe(zm.H * zm)
+        inv_sqrt = eigvecs * mpmath.diag([1 / mpmath.sqrt(v) for v in eigvals]) * eigvecs.H
+        return np.array((zm * inv_sqrt).tolist(), dtype=complex)
+
+
+class TestPolarOracle:
+    """The orientation at the parameter condition edge against a high-precision polar factor."""
+
+    @pytest.mark.parametrize("m,r", [(3, 2), (6, 3)])
+    def test_matches_mpmath_at_condition_edge(self, m, r):
+        # the error grows with a draw's condition number, so the reference is
+        # taken on the 30 worst-conditioned of 20000 draws and on 30 others;
+        # square draws (m = r = 2) miss 1e-9 here, see the README
+        rng = make_rng(10)
+        normal = ComplexMatrixNormalParams(random_hpd(rng, m, 1e10), r)
+        z = sample_complex_matrix_normal_batch(normal, 20000, rng)
+        frames = dist._orient_with_retry(z, lambda k: pytest.fail(f"{k} draws redrawn"))
+        singular = np.linalg.svd(z, compute_uv=False)
+        order = np.argsort(singular[:, 0] / singular[:, -1])
+        picked = np.concatenate([order[-30:], rng.choice(order[:-30], 30, replace=False)])
+        worst = max(np.abs(frames[i] - mp_polar_factor(z[i])).max() for i in picked)
+        assert worst <= 1e-9
+
+
 class TestProjectionMatrix:
     def test_first_basis_vector(self):
         proj = projection_matrix([[1.0], [0.0]])

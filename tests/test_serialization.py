@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def ref_draws_to_csv(draws):
 
 
 def ref_values_to_csv(values):
-    return "".join(f"{index},{float(v):.17g}\n" for index, v in enumerate(values))
+    return "".join(f"{index},{v:.17g}\n" for index, v in enumerate(np.asarray(values, float).tolist()))
 
 
 # Reference JSON encoder: one [value.real, value.imag] pair of numpy scalars
@@ -148,6 +149,65 @@ class TestCsvGoldenBytes:
         specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
         assert ser.values_to_csv(specials) == ref_values_to_csv(specials)
 
+    # The exact-digit encoder against f"{x:.17g}".  Its window is
+    # 1e-4 <= |x| < 1e17; the blocks below hold no zero, subnormal, inf or nan,
+    # so that apart from the cells past a window edge the vectorized path
+    # runs alone.
+    @staticmethod
+    def assert_values_match(values):
+        values = np.asarray(values, dtype=float)
+        assert ser.values_to_csv(values) == ref_values_to_csv(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-6, 19)  # the window's decades, and two past each edge
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self.assert_values_match(np.concatenate([values, -values]))
+
+    def test_exact_ties_round_half_even(self):
+        # k / 2^18 has 18 significant digits, the last a 5: each is a tie at 17 digits
+        values = np.arange(26215, 262144, 2) / 2.0**18
+        assert values.min() > 0.1 and values.max() < 1.0
+        self.assert_values_match(values)
+
+    def test_rounding_carries(self):
+        # doubles whose 17-digit rounding carries into the digit before a 9; a
+        # carry all the way to the next power of ten would take a double within
+        # half a unit of the 17th digit below that power, and there is none
+        rng = np.random.default_rng(11)
+        candidates = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-4, 17, 20000)
+        carries = [
+            x for x in candidates.tolist()
+            if Decimal(x) < Decimal(f"{x:.17g}") and f"{x:.16e}".split("e")[0].endswith("0")
+        ]
+        assert len(carries) > 500
+        exponents = np.arange(-3, 17)
+        below_powers = np.nextafter(10.0 ** exponents, 0)
+        assert all(Decimal(f"{x:.17g}") < Decimal(10) ** int(k)
+                   for x, k in zip(below_powers.tolist(), exponents.tolist()))
+        self.assert_values_match(np.concatenate([carries, below_powers]))
+
+    def test_random_sweep_across_window_edges(self):
+        rng = np.random.default_rng(12)
+        n = 10**6
+        values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-7, 19, n)
+        values[rng.random(n) < 0.5] *= -1
+        self.assert_values_match(values)
+
+    def test_special_values_inside_window_blocks(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf,
+                    np.nan, 1e-5, 1e17, 1e300]
+        draws = random_draws(block_rows(5) + 3, 1, 2, seed=13)
+        flat = draws.view(float).reshape(-1)
+        at = np.random.default_rng(13).choice(flat.size, 3 * len(specials), replace=False)
+        flat[at] = specials * 3
+        assert ser.draws_to_csv(draws) == ref_draws_to_csv(draws)
+
+    def test_index_column_values(self):
+        index = np.array([0, 9, 10, 99999999, 10**8])
+        cells = np.full((len(index), 2), -0.5)
+        expected = "".join(f"{i},-0.5,-0.5\n" for i in index.tolist())
+        assert ser._format_rows(cells, index) == expected
+
     def test_param_checksum_pinned(self):
         mat = np.array(
             [[2.0, 0.5 - 0.25j, -0.0], [0.5 + 0.25j, 1.0, 1e-300j], [0.0, -1e-300j, 3.0]]
@@ -244,6 +304,12 @@ class TestJsonGoldenBytes:
         mat[0, 0] = complex(np.nan, np.inf)
         mat[1, 1] = complex(-np.inf, -0.0)
         assert ser.matrix_to_json(mat) == ref_dump({"matrix": ref_pairs(mat)})
+
+    def test_values_match_reference(self):
+        values = np.array([-0.0, 5e-324, 1e300, np.nan, -2.5, 0.1])
+        text = ser.values_to_json(values)
+        assert text == ref_dump({"log_densities": [float(v) for v in values]})
+        assert text == '{"log_densities":[-0.0,5e-324,1e+300,NaN,-2.5,0.1]}\n'
 
     def test_real_input_is_written_as_complex(self):
         assert ser.draws_to_json(np.ones((1, 1, 1))) == '{"draws":[[[[1.0,0.0]]]]}\n'
