@@ -106,7 +106,7 @@ class _Encoder:
         return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
     def __call__(self, block: np.ndarray) -> str:
-        """A (rows, width) block as text, each cell led by its separator ("\n" before a row)."""
+        """A (rows, width) block as text, each cell led by its separator: a newline starts a row."""
         rows, width = block.shape
         x = block.ravel()
         a = np.abs(x)
@@ -133,10 +133,10 @@ class _Encoder:
         trailing = zeros[3] + (quads[4] == 0) * (
             zeros[2] + (quads[3] == 0) * (zeros[1] + (quads[2] == 0) * zeros[0]))
         negative = np.signbit(x)
-        first = np.zeros((rows, width), np.intp)
-        first[:, 0] = 1
-        first = first.ravel()
-        head = (t * 2 + first) * 2 + negative
+        starts_row = np.zeros((rows, width), np.intp)
+        starts_row[:, 0] = 1
+        starts_row = starts_row.ravel()
+        head = (t * 2 + starts_row) * 2 + negative
         words = np.take(self.quad_words, quads[1:]).T
         canvas = np.empty((len(d), 11), np.uint32)
         canvas[:, 0] = np.take(self.head_words, head)
@@ -148,7 +148,8 @@ class _Encoder:
         keep = np.take(self.keep, (t * 18 + 17 - trailing) * 2 + negative, axis=0)
         fallback = np.flatnonzero(~exact)
         if fallback.size:
-            text = [",\n"[f] + "%.17g" % v for f, v in zip(first[fallback].tolist(), x[fallback].tolist())]
+            cells = zip(starts_row[fallback].tolist(), x[fallback].tolist())
+            text = [",\n"[starts] + "%.17g" % v for starts, v in cells]
             canvas[fallback] = np.array(text, "S44").view(np.uint8).reshape(-1, 44)
             keep[fallback] = canvas[fallback] != 0
         return canvas.ravel()[keep.ravel()].tobytes().decode("ascii")

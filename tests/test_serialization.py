@@ -69,6 +69,56 @@ def around_one_block(width):
     return [1, rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
+# Inputs for the exact-digit encoder, whose window is 1e-4 <= |x| < 1e17.
+# None holds a zero, subnormal, inf or nan, so that apart from the cells past
+# a window edge its vectorized path runs alone.
+def powers_of_ten():
+    """Each power of ten from two decades below the window to two above, and its neighbours."""
+    powers = 10.0 ** np.arange(-6, 19)
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def exact_ties():
+    """k / 2^18 for odd k: 18 significant digits ending in 5, each a tie at 17 digits."""
+    values = np.arange(26215, 262144, 2) / 2.0**18
+    assert values.min() > 0.1 and values.max() < 1.0
+    return values
+
+
+def rounding_carries():
+    """Doubles whose 17-digit rounding carries into the digit before a 9.
+
+    A carry all the way to the next power of ten would take a double within
+    half a unit of the 17th digit below that power; there is none, so the
+    largest double below each power is added as the nearest case.
+    """
+    rng = np.random.default_rng(11)
+    candidates = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-4, 17, 20000)
+    carries = [
+        x for x in candidates.tolist()
+        if Decimal(x) < Decimal(f"{x:.17g}") and f"{x:.16e}".split("e")[0].endswith("0")
+    ]
+    assert len(carries) > 500
+    exponents = np.arange(-3, 17)
+    below_powers = np.nextafter(10.0 ** exponents, 0)
+    assert all(Decimal(f"{x:.17g}") < Decimal(10) ** k
+               for x, k in zip(below_powers.tolist(), exponents.tolist()))
+    return np.concatenate([carries, below_powers])
+
+
+def random_sweep():
+    """10^6 values of random sign and mantissa, with decades from 3 below the window to 2 above."""
+    rng = np.random.default_rng(12)
+    n = 10**6
+    values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-7, 19, n)
+    values[rng.random(n) < 0.5] *= -1
+    return values
+
+
+ENCODER_INPUTS = {f.__name__: f for f in (powers_of_ten, exact_ties, rounding_carries, random_sweep)}
+
+
 class TestMatrixCsv:
     def test_round_trip_is_exact(self):
         mat = random_draws(1, 3, 3)[0]
@@ -149,49 +199,10 @@ class TestCsvGoldenBytes:
         specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
         assert ser.values_to_csv(specials) == ref_values_to_csv(specials)
 
-    # The exact-digit encoder against f"{x:.17g}".  Its window is
-    # 1e-4 <= |x| < 1e17; the blocks below hold no zero, subnormal, inf or nan,
-    # so that apart from the cells past a window edge the vectorized path
-    # runs alone.
-    @staticmethod
-    def assert_values_match(values):
-        values = np.asarray(values, dtype=float)
+    @pytest.mark.parametrize("inputs", sorted(ENCODER_INPUTS))
+    def test_values_across_the_encoder_window_match_reference(self, inputs):
+        values = ENCODER_INPUTS[inputs]()
         assert ser.values_to_csv(values) == ref_values_to_csv(values)
-
-    def test_powers_of_ten_and_their_neighbours(self):
-        powers = 10.0 ** np.arange(-6, 19)  # the window's decades, and two past each edge
-        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
-        self.assert_values_match(np.concatenate([values, -values]))
-
-    def test_exact_ties_round_half_even(self):
-        # k / 2^18 has 18 significant digits, the last a 5: each is a tie at 17 digits
-        values = np.arange(26215, 262144, 2) / 2.0**18
-        assert values.min() > 0.1 and values.max() < 1.0
-        self.assert_values_match(values)
-
-    def test_rounding_carries(self):
-        # doubles whose 17-digit rounding carries into the digit before a 9; a
-        # carry all the way to the next power of ten would take a double within
-        # half a unit of the 17th digit below that power, and there is none
-        rng = np.random.default_rng(11)
-        candidates = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-4, 17, 20000)
-        carries = [
-            x for x in candidates.tolist()
-            if Decimal(x) < Decimal(f"{x:.17g}") and f"{x:.16e}".split("e")[0].endswith("0")
-        ]
-        assert len(carries) > 500
-        exponents = np.arange(-3, 17)
-        below_powers = np.nextafter(10.0 ** exponents, 0)
-        assert all(Decimal(f"{x:.17g}") < Decimal(10) ** int(k)
-                   for x, k in zip(below_powers.tolist(), exponents.tolist()))
-        self.assert_values_match(np.concatenate([carries, below_powers]))
-
-    def test_random_sweep_across_window_edges(self):
-        rng = np.random.default_rng(12)
-        n = 10**6
-        values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-7, 19, n)
-        values[rng.random(n) < 0.5] *= -1
-        self.assert_values_match(values)
 
     def test_special_values_inside_window_blocks(self):
         specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf,
