@@ -39,16 +39,17 @@ class BlockEncoder:
         quad_chars = np.ascontiguousarray(places.T + ord("0"))
         self.quad_words = quad_chars.view(np.uint32)[:, 0]  # "0000".."9999"
         zero = places == 0
-        self.quad_zeros = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0] * 1)))  # trailing
+        self.quad_zeros = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0])))  # trailing
         point_chars = quad_chars[:10].copy()
         point_chars[:, 2] = ord(".")
         self.point_words = point_chars.view(np.uint32)[:, 0]  # "00.0".."00.9"
         # heads by (t·2 + starts a row)·2 + negative, then ·10 + leading digit
-        first, negative = np.arange(2)[:, None, None], np.arange(2)[:, None]
+        starts_row, negative = np.arange(2)[:, None, None], np.arange(2)[:, None]
         at = 6 - np.arange(7)  # distance from the head's end
         number = np.maximum(-x - 1, 0) + 2 * (x < 0)  # "0." and -X − 1 zeros
         chars = np.where(at < number, np.where(at == number - 2, ord("."), ord("0")), ord(" "))
-        chars = np.where(at == number + negative, np.where(first == 1, ord("\n"), ord(",")), chars)
+        separator = np.where(starts_row == 1, ord("\n"), ord(","))
+        chars = np.where(at == number + negative, separator, chars)
         chars = np.where((negative == 1) & (at == number), ord("-"), chars).astype(np.uint8)
         self.head_words = chars[..., :4].copy().view(np.uint32).ravel()
         digit_chars = np.empty(chars.shape[:3] + (10, 4), np.uint8)

@@ -36,7 +36,7 @@ _CSV_BLOCK_CELLS = 1 << 12  # cells per step of the CSV codec: bounds its tempor
 _WRITE_CHARS = 1 << 20
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _encoder():
     """The exact "%.17g" block encoder, imported and built on first use, not at import."""
     from ._dtoa import BlockEncoder

@@ -34,7 +34,8 @@ def ref_draws_to_csv(draws):
 
 
 def ref_values_to_csv(values):
-    return "".join(f"{index},{v:.17g}\n" for index, v in enumerate(np.asarray(values, float).tolist()))
+    values = np.asarray(values, dtype=float).tolist()
+    return "".join(f"{index},{v:.17g}\n" for index, v in enumerate(values))
 
 
 # Reference JSON encoder: one [value.real, value.imag] pair of numpy scalars
@@ -116,7 +117,10 @@ def random_sweep():
     return values
 
 
-ENCODER_INPUTS = {f.__name__: f for f in (powers_of_ten, exact_ties, rounding_carries, random_sweep)}
+ENCODER_INPUTS = {
+    builder.__name__: builder
+    for builder in (powers_of_ten, exact_ties, rounding_carries, random_sweep)
+}
 
 
 class TestMatrixCsv:
