@@ -118,8 +118,7 @@ def random_sweep():
 
 
 ENCODER_INPUTS = {
-    builder.__name__: builder
-    for builder in (powers_of_ten, exact_ties, rounding_carries, random_sweep)
+    case.__name__: case for case in (powers_of_ten, exact_ties, rounding_carries, random_sweep)
 }
 
 
