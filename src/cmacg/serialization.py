@@ -5,7 +5,9 @@ columns, column pairs ordered (Re, Im) per matrix column.  Stacked draws
 prepend a ``draw_index`` column repeated on each of the draw's m rows.
 Floats are written with 17 significant digits, exactly as "%.17g" writes
 them (``_dtoa`` computes them a block at a time), which round-trips IEEE
-doubles exactly.
+doubles exactly.  Reading uses numpy's C reader (``np.loadtxt``); the
+block parser decides any text that reader rejects, so the accepted grammar
+and the error messages are the block parser's.
 
 JSON layout: a draw is an m-by-r nesting of two-element [re, im] lists,
 row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
@@ -24,6 +26,7 @@ import hashlib
 import json
 import os
 import secrets
+import warnings
 
 import numpy as np
 
@@ -65,7 +68,24 @@ def matrix_to_csv(mat: np.ndarray) -> str:
 
 
 def _parse_csv_rows(text: str, path_hint: str) -> np.ndarray:
-    """Numeric CSV, blank lines skipped, as a (rows, width) array; cells parse as float()."""
+    """Numeric CSV, blank lines skipped, as a (rows, width) array; cells parse as float().
+
+    numpy's C reader decodes the text: it converts each cell with
+    PyOS_string_to_double, as float() does.  Text it rejects, or finds
+    empty, goes to the block parser, which decides it: float()'s values, or
+    the error naming the line.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes: "no data", say, is a rejection
+        try:
+            return np.loadtxt(text.splitlines(), delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+    return _parse_csv_blocks(text, path_hint)
+
+
+def _parse_csv_blocks(text: str, path_hint: str) -> np.ndarray:
+    """The block parser: cells converted by float() a block of rows at a time, errors by line."""
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValidationError(f"{path_hint}: no data rows")

@@ -407,6 +407,29 @@ class TestSqrt:
         assert "residual" in capsys.readouterr().err
 
 
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--param", "{param}", "--input", "{bad}", "--out", "{out}"],
+            ["density", "--param", "{param}", "--input", "{bad}", "--format", "json",
+             "--out", "{out}"],
+            ["sample", "--param", "{bad}", "--r", "1", "--n", "5", "--out", "{out}"],
+            ["sqrt", "--input", "{bad}", "--out", "{out}"],
+        ],
+        ids=["density-csv", "density-json", "sample-param", "sqrt"],
+    )
+    def test_non_utf8_file_exits_two(self, tmp_path, param_csv, capsys, argv):
+        bad, out = str(tmp_path / "bad.csv"), str(tmp_path / "out")
+        with open(bad, "wb") as handle:
+            handle.write(b"\xff\xfe1,2\n")
+        code = cli.main([arg.format(param=param_csv, bad=bad, out=out) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

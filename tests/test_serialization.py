@@ -1,7 +1,7 @@
 import json
 import os
 import stat
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -282,6 +282,153 @@ class TestCsvReaderBlocks:
     def test_cells_parse_as_float(self):
         parsed = ser.matrix_from_csv(" 1.5,1_0\nnan,\u0661\n")
         np.testing.assert_array_equal(parsed.view(float), [[1.5, 10.0], [np.nan, 1.0]])
+
+
+# Text at the edges of the CSV grammar.  numpy's C reader decodes the text
+# first; each of these it must either decode exactly as the block parser
+# does, or reject, so that the block parser decides it.
+CSV_EDGE_INPUTS = {
+    "blank lines": "1,2\n\n3,4\n\n",
+    "whitespace-only line": "1,2\n \t \n3,4\n",
+    "whitespace-only line, one column": "1\n  \n2\n",
+    "underscore": "1_0,2\n",
+    "arabic-indic digit": "\u0661,2\n",
+    "fullwidth digit": "\uff11,2\n",
+    "leading bom": "\ufeff1,2\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "lone cr": "1,2\r3,4\r",
+    "form feed": "1,2\x0c3,4\n",
+    "file separator": "1,2\x1c3,4\n",
+    "next line": "1,2\x853,4\n",
+    "line separator": "1,2\u20283,4\n",
+    "-nan": "-nan,+nan\n",
+    "infinity": "infinity,-Infinity\n",
+    "overflow": "1e500,-1e500\n",
+    "underflow": "1e-400,-2.4703282292062328e-324\n",
+    "+1 and -0": "+1,-0\n",
+    "1. and .5": "1.,.5\n",
+    "tab padding": "\t1.5\t,2\n",
+    "nbsp padding": "\xa01.5\xa0, 2\n",
+    "trailing comma": "1,2,\n",
+    "empty cell": ",1\n",
+    "0x10": "0x10,1\n",
+    "semicolon": "1;2,3\n",
+    "quotes": '"1",2\n',
+    "hash": "1#2,3\n",
+    "inner space": "1 2,3\n",
+    "nul": "1\x002,3\n",
+    "nan payload": "nan(1),1\n",
+    "bare exponent": "1e,2\n",
+    "bare point": ".,2\n",
+    "non-numeric": "1,abc\n",
+    "ragged": "1,2\n3,4,5\n",
+    "ragged and non-numeric": "1,2\n3,x,5\n",
+    "one cell": "5",
+    "empty": "",
+    "newlines only": "\n\n",
+    "whitespace only": "  \n\t\n",
+}
+# Of those, the ones the C reader must reject: they reach the block parser.
+BLOCK_PARSER_INPUTS = [
+    "whitespace-only line", "whitespace-only line, one column", "underscore",
+    "arabic-indic digit", "non-numeric", "ragged", "ragged and non-numeric", "empty",
+    "newlines only", "whitespace only",
+]
+BLOCK_PARSER = ser._parse_csv_blocks
+
+
+def decoded(parse, text):
+    """What a parse of the text gives: the array's shape and bytes, or the error message."""
+    try:
+        data = parse(text, "edge.csv")
+    except ValidationError as exc:
+        return str(exc)
+    return data.shape, data.tobytes()
+
+
+@pytest.fixture
+def block_parser_calls(monkeypatch):
+    """Texts that reach the block parser, which still decides them."""
+    calls = []
+
+    def spy(text, path_hint):
+        calls.append(text)
+        return BLOCK_PARSER(text, path_hint)
+
+    monkeypatch.setattr(ser, "_parse_csv_blocks", spy)
+    return calls
+
+
+@pytest.fixture
+def without_block_parser(monkeypatch):
+    def refuse(text, path_hint):
+        raise AssertionError("the block parser was reached")
+
+    monkeypatch.setattr(ser, "_parse_csv_blocks", refuse)
+
+
+def adversarial_cells(rng):
+    """About 10^5 cells that float() reads, none of which the C reader may reject."""
+    bits = np.frombuffer(rng.bytes(8 * 30000), np.float64)  # nan, inf and subnormals included
+    precisions = rng.integers(1, 26, len(bits)).tolist()
+    cells = [repr(x) for x in bits[:15000].tolist()]
+    cells += [f"{x:.{p}g}" for x, p in zip(bits[15000:].tolist(), precisions)]
+    # 15 to 40 significant digits, a point anywhere or nowhere, exponents -330 to 310
+    digits = (rng.integers(0, 10, (40000, 40)) + ord("0")).astype(np.uint8).view("S40")
+    for mantissa, length, point, exponent, sign in zip(
+        digits.reshape(-1).astype(str).tolist(), rng.integers(15, 41, 40000).tolist(),
+        rng.integers(0, 42, 40000).tolist(), rng.integers(-330, 311, 40000).tolist(),
+        rng.choice(["", "-", "+"], 40000).tolist(),
+    ):
+        mantissa = mantissa[:length]
+        if point <= length:
+            mantissa = f"{mantissa[:point]}.{mantissa[point:]}"
+        cells.append(f"{sign}{mantissa}e{exponent}")
+    # exact midpoints between neighbouring doubles, and just above them
+    lows = np.abs(rng.standard_normal(2500)) * 10.0 ** rng.integers(-320, 300, 2500)
+    lows = lows[np.isfinite(lows) & (lows > 0)]
+    with localcontext() as context:
+        context.prec = 800
+        for low, high in zip(lows.tolist(), np.nextafter(lows, np.inf).tolist()):
+            midpoint = f"{(Decimal(low) + Decimal(high)) / 2:e}"
+            cells += [midpoint, midpoint.replace("e", "1e")]
+    specials = ["0", "-0", "+0.0", "0e-999", "-0.000e400", "5e-324", "-4.9406564584124654e-324",
+                "2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+                "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+                "-1e309", "nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+Inf", "infinity",
+                "-Infinity", "INFINITY", " 1.5", "\t-2.5 ", "1."]
+    cells += rng.choice(specials, 100000 - len(cells)).tolist()
+    return rng.permutation(np.array(cells, dtype=object)).tolist()
+
+
+class TestCsvCReader:
+    @pytest.mark.parametrize("name", sorted(CSV_EDGE_INPUTS))
+    def test_edge_input_decodes_as_the_block_parser_does(self, name, block_parser_calls):
+        text = CSV_EDGE_INPUTS[name]
+        assert decoded(ser._parse_csv_rows, text) == decoded(BLOCK_PARSER, text)
+        if name in BLOCK_PARSER_INPUTS:
+            assert block_parser_calls == [text]
+
+    def test_adversarial_cells_decode_as_float(self, without_block_parser):
+        cells = adversarial_cells(np.random.default_rng(2023))
+        assert len(cells) >= 10**5
+        expected = np.array([float(cell) for cell in cells]).reshape(-1, 4)
+        rows = [",".join(row) for row in np.array(cells, dtype=object).reshape(-1, 4).tolist()]
+        mat = ser.matrix_from_csv("\n".join(rows) + "\n")
+        assert mat.view(float).tobytes() == expected.tobytes()
+        draws = ser.draws_from_csv("".join(f"{i},{row}\n" for i, row in enumerate(rows)))
+        assert draws.shape == (len(rows), 1, 2)
+        assert draws.view(float).tobytes() == expected.tobytes()
+
+    def test_written_files_skip_the_block_parser(self, without_block_parser):
+        draws = with_specials(random_draws(block_rows(7) + 5, 3, 3, seed=21))
+        draws[0, 0, 0] = complex(np.nan, -np.inf)
+        np.testing.assert_array_equal(ser.draws_from_csv(ser.draws_to_csv(draws)), draws)
+        mat = draws[1]
+        assert ser.matrix_from_csv(ser.matrix_to_csv(mat)).tobytes() == mat.tobytes()
+        values = np.append(draws.real.reshape(-1), [np.nan, np.inf, -np.inf, -0.0, 5e-324])
+        parsed = ser._parse_csv_rows(ser.values_to_csv(values), "values.csv")
+        np.testing.assert_array_equal(parsed, np.column_stack([np.arange(len(values)), values]))
 
 
 class TestDrawsJson:
