@@ -116,9 +116,9 @@ class ComplexMatrixNormalParams:
     """Central complex matrix normal: r i.i.d. columns with a common covariance.
 
     The mean is fixed at zero.  Each column, stacked as the real vector
-    (real parts, imaginary parts), is jointly normal with covariance
-    ``0.5 * [[C_re, -C_im], [C_im, C_re]]`` where ``C`` is the column
-    covariance; under this convention E[z z^H] per column equals ``C``.
+    (real parts, imaginary parts), has covariance ``0.5 * [[C_re, -C_im],
+    [C_im, C_re]]`` for the column covariance ``C``: E[z z^H] = C and E[z z^T]
+    = 0, so C^{-1/2} z has i.i.d. CN(0, 1) entries, as ``verify`` tests.
     """
 
     __slots__ = ("column_cov", "r")

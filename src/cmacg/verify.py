@@ -11,16 +11,16 @@ returns a ``CheckResult``:
 - ``corollary_check``: orientations of left-transformed draws follow CMACG
   under the transformed parameter.
 - ``general_class_check``: orientations of scale-mixture draws follow CMACG.
-- ``normal_covariance_check``: the stacked real/imaginary column vector has
-  the stated block covariance.
+- ``normal_covariance_check``: normal draws whitened by their column
+  covariance have i.i.d. CN(0, 1) entries.
 
-The three middle checks test one sample against an exact law.  If
-H ~ CMACG(P) and P = L L^H, the orientation of L^{-1} H is uniform on the
-Stiefel manifold (Chikuse, Statistics on Special Manifolds, 2003), whose
-marginals are known; each is tested by a one-sample Kolmogorov-Smirnov test
+The other four checks test one sample against an exact law: CN(0, 1) for
+whitened normal draws, or, if H ~ CMACG(P) and P = L L^H, the uniform law of
+the orientation of L^{-1} H on the Stiefel manifold (Chikuse, Statistics on
+Special Manifolds, 2003).  Each marginal is tested by a one-sample KS test
 against the DKW-Massart bound (Massart, Ann. Probab. 1990), Bonferroni-
-corrected, and the check reports the worst margin.  Mean-based verdicts use
-|estimate - target| <= k * SE + atol; the small absolute floor covers
+corrected, and the check reports the worst margin.  ``normalization`` uses
+|estimate - 1| <= k * SE + atol; the small absolute floor covers
 degenerate cases whose integrand is deterministic and the SE vanishes.
 
 Every check is deterministic given its inputs and generator state.
@@ -47,7 +47,6 @@ DEFAULT_FUNCTIONALS = 3
 MEAN_CHECK_ATOL = 1e-9
 
 MIN_CHECK_SAMPLES = 10000
-MIN_COVARIANCE_SAMPLES = 50000
 MIN_KS_SAMPLES = 100
 
 DEFAULT_MIXTURE_SHAPE = 3.0
@@ -55,10 +54,8 @@ DEFAULT_MIXTURE_RATE = 3.0
 
 
 def _require_samples(check: str, n: int) -> None:
-    if check == "normalization" and n < 1:
-        raise InsufficientSample(f"need at least one draw, got {n}")
-    minimum = MIN_COVARIANCE_SAMPLES if check == "normal_covariance" else MIN_CHECK_SAMPLES
-    if check != "normalization" and n < minimum:
+    minimum = 1 if check == "normalization" else MIN_CHECK_SAMPLES
+    if n < minimum:
         raise InsufficientSample(f"need n >= {minimum}, got {n}")
 
 
@@ -147,16 +144,40 @@ def _ks_uniform(u, level: float, description: str) -> CheckResult:
 
 
 def _beta_cdf(x, a: int, b: int) -> np.ndarray:
-    """Regularized incomplete beta I_x(a, b) for integers a, b >= 1: P(Bin(a + b - 1, x) >= a)."""
+    """I_x(a, b) = P(Bin(a + b - 1, x) >= a) for integers a, b >= 1, by terms taken in log space."""
     x = np.clip(x, 0.0, 1.0)
     trials = a + b - 1
-    return sum(math.comb(trials, k) * x**k * (1.0 - x) ** (trials - k)
+    with np.errstate(divide="ignore"):
+        log_x, log_rest = np.log(x), np.log1p(-x)
+    del x  # one array fewer alive while the terms are summed
+    return sum(np.exp(math.log(math.comb(trials, k)) + k * log_x
+                      + ((trials - k) * log_rest if k < trials else 0.0))
                for k in range(a, trials + 1))
+
+
+def _gamma_cdf(x, a: int) -> np.ndarray:
+    """P(a, x) = P(Poisson(x) >= a) for x >= 0 and integer a >= 1, by terms taken in log space."""
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    return -np.expm1(-x) - sum(np.exp(k * log_x - x - math.log(math.factorial(k)))
+                               for k in range(1, a))
 
 
 def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _ks_subtests(laws: list[tuple[str, str, np.ndarray]], level: float) -> list[CheckResult]:
+    """One KS subtest at the Bonferroni level per law and per row (direction) of its CDF values."""
+    named = []
+    for functional, law, uniforms in laws:
+        name = f"KS of {functional} against {law}"
+        named += ([(f"{name}, direction {j + 1}", u) for j, u in enumerate(uniforms)]
+                  if np.ndim(uniforms) > 1 else [(name, uniforms)])
+    level /= len(named)
+    return [_ks_uniform(u, level, f"{name} (whitened; Bonferroni level {level:g})")
+            for name, u in named]
 
 
 def _exact_law_subtests(
@@ -189,10 +210,7 @@ def _exact_law_subtests(
         moduli = entries.real**2 + entries.imag**2
         laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})", _beta_cdf(moduli, 1, m - 1)))
     laws.append(("arg(e^H H f)", "Uniform(-pi, pi]", np.angle(entries) / (2 * math.pi) + 0.5))
-    level /= len(laws) * n_functionals
-    return [_ks_uniform(u, level, f"KS of {functional} against {law}, direction {j + 1} "
-                        f"(whitened; Bonferroni level {level:g})")
-            for functional, law, uniforms in laws for j, u in enumerate(uniforms)]
+    return _ks_subtests(laws, level)
 
 
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
@@ -331,42 +349,23 @@ def general_class_check(
 
 
 def normal_covariance_check(
-    params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator, k: float = DEFAULT_K
+    params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator,
+    level: float = DEFAULT_LEVEL, n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
-    """Empirical covariance of the stacked real column vector vs its target.
-
-    The target block matrix is assembled inline from the column covariance,
-    independently of the sampler's own construction, so a bug in either side
-    surfaces.  Reports the largest entrywise deviation in standard-error
-    units; the standard errors use the Gaussian fourth-moment identity under
-    the null.
-    """
+    """Normal draws whitened in place by their column covariance, W = C^{-1/2} Z, have i.i.d.
+    CN(0, 1) entries: |e^H W f|^2 ~ Exp(1) and arg(e^H W f) is uniform for unit e and f, and a
+    column's ||w||^2 ~ Gamma(m, 1).  C^{-1/2} is an ``eigh`` factor, independent of the
+    sampler's stacked real Cholesky factor, so a wrong factor cannot cancel itself out."""
     _require_samples("normal_covariance", n)
-    m = params.m
-    z = dist.sample_complex_matrix_normal_batch(params, n, rng)
-    stacked = np.concatenate([z.real, z.imag], axis=1)
-    columns = stacked.transpose(0, 2, 1).reshape(-1, 2 * m)
-    empirical = np.cov(columns, rowvar=False, ddof=1)
-    cov = params.column_cov.mat
-    target = 0.5 * np.block([[cov.real, -cov.imag], [cov.imag, cov.real]])
-    n_columns = columns.shape[0]
-    diag = np.diag(target)
-    std_error = np.sqrt((np.outer(diag, diag) + target**2) / n_columns)
-    z_scores = np.abs(empirical - target) / std_error
-    worst = int(np.argmax(z_scores))
-    max_z = float(z_scores.flat[worst])
-    return CheckResult(
-        "normal_covariance",
-        "verification_report",
-        max_z,
-        k,
-        "pass" if max_z <= k else "fail",
-        {
-            "n_samples": n,
-            "n_column_vectors": int(n_columns),
-            "worst_entry": [int(i) for i in np.unravel_index(worst, z_scores.shape)],
-        },
-    )
+    columns = linalg._frame_columns(dist.sample_complex_matrix_normal_batch(params, n, rng))
+    columns[...] = linalg.hermitian_inv_sqrt(params.column_cov).mat @ columns
+    lefts, rights = (_unit_vectors(rng, n_functionals, dim) for dim in (params.m, params.r))
+    entries = np.einsum("jnk,jk->jn", (lefts.conj() @ columns).reshape(len(lefts), n, -1), rights)
+    norms = (columns.real**2 + columns.imag**2).sum(axis=0)
+    laws = [("|e^H W f|^2", "Exp(1)", _gamma_cdf(entries.real**2 + entries.imag**2, 1)),
+            ("arg(e^H W f)", "Uniform(-pi, pi]", np.angle(entries) / (2 * math.pi) + 0.5),
+            ("||w||^2 of each column", f"Gamma({params.m}, 1)", _gamma_cdf(norms, params.m))]
+    return _worst_subtest("normal_covariance", _ks_subtests(laws, level), n)
 
 
 CHECK_NAMES = (
@@ -425,7 +424,7 @@ def run_suite(
             outcome = general_class_check(params, n, rng, level=level)
         else:
             outcome = normal_covariance_check(
-                ComplexMatrixNormalParams(params.cov, params.r), n, rng, k=k
+                ComplexMatrixNormalParams(params.cov, params.r), n, rng, level=level
             )
         results.append((name, outcome))
     return results

@@ -307,7 +307,7 @@ class TestNormalCovarianceCheck:
         params = ComplexMatrixNormalParams(np.eye(2), 1)
         report = normal_covariance_check(params, 50000, make_rng(19))
         assert report.passed
-        assert report.statistic <= 4.0
+        assert report.details["functional_description"].endswith("worst margin of 7 subtests")
 
     def test_complex_parameter(self):
         params = ComplexMatrixNormalParams(np.array([[2.0, 1j], [-1j, 2.0]]), 1)
@@ -433,6 +433,20 @@ class TestExactLaw:
                     worst = max(worst, np.abs(verify._beta_cdf(x, a, b) - reference).max())
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("m", [3, 1100])
+    def test_beta_and_gamma_cdfs_match_mpmath_at_small_and_large_m(self, m):
+        # at m = 1100 a binomial coefficient of Beta(4, m - 4) passes 1e308
+        x = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(1e-3, 0.999, 40), [1.0]])
+        y = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 3.0 * m, 40), [10.0 * m]])
+        tol = 1e-14 if m == 3 else 1e-12
+        with mpmath.workdps(60):
+            for a, b in ((1, m - 1), (min(4, m - 1), m - min(4, m - 1))):
+                reference = [float(mpmath.betainc(a, b, 0, float(t), regularized=True)) for t in x]
+                assert np.abs(verify._beta_cdf(x, a, b) - reference).max() <= tol
+            for a in (1, m):
+                reference = [float(mpmath.gammainc(a, 0, float(t), regularized=True)) for t in y]
+                assert np.abs(verify._gamma_cdf(y, a) - reference).max() <= tol
+
     @pytest.mark.parametrize("decimals", [1, 2, 4, None])
     def test_ks_uniform_is_sup_over_jumps(self, decimals):
         rng = np.random.default_rng(48 + (decimals or 0))
@@ -502,8 +516,8 @@ class TestMutationPower:
     """Each injected bug, and the check that catches it in every seed (m=3, r=2, n=50000)."""
 
     @staticmethod
-    def failing(checks, n=50000, m=3, r=2):
-        params = diag_params(np.arange(m, 0, -1.0), r)
+    def failing(checks, n=50000, m=3, r=2, cov=None):
+        params = diag_params(np.arange(m, 0, -1.0), r) if cov is None else CmacgParams(cov, r)
         return [[name for name, outcome in run_suite(params, n=n, seed=seed, checks=checks)
                  if not outcome.passed] for seed in range(3)]
 
@@ -537,16 +551,31 @@ class TestMutationPower:
         monkeypatch.setattr(verify.dist, "sample_cmacg_batch", sampler)
         assert self.failing(("unitary_invariance",)) == [["unitary_invariance"]] * 3
 
+    @pytest.mark.parametrize("bug", ["dropped_half", "conjugated", "noncircular"])
+    def test_covariance_bug_caught_by_normal_covariance(self, monkeypatch, bug):
+        stacked = verify.dist.stacked_real_covariance
+        draw = verify.dist.sample_complex_matrix_normal_batch
+
+        def noncircular(params, n, rng):
+            # z = x + ix: the right E[z z^H] at a real P, but E[z z^T] is not 0
+            z = draw(params, n, rng)
+            return z.real + 1j * z.real
+
+        if bug == "dropped_half":
+            monkeypatch.setattr(verify.dist, "stacked_real_covariance", lambda c: 2 * stacked(c))
+        elif bug == "conjugated":
+            monkeypatch.setattr(verify.dist, "stacked_real_covariance",
+                                lambda c: stacked(verify.linalg.HermitianPD(c.mat.conj())))
+        else:
+            monkeypatch.setattr(verify.dist, "sample_complex_matrix_normal_batch", noncircular)
+        # a real diagonal P is its own conjugate
+        cov = np.array([[3, 1 + 1j, 0.5j], [1 - 1j, 2, 0.5], [-0.5j, 0.5, 1]])
+        failing = self.failing(("normal_covariance",), cov=cov if bug == "conjugated" else None)
+        assert failing == [["normal_covariance"]] * 3
+
 
 class TestVerdictRules:
     """Each kind keeps its own rule where the statistic equals the threshold."""
-
-    def test_normal_covariance_passes_at_equality(self):
-        params = ComplexMatrixNormalParams(np.eye(2), 1)
-        first = normal_covariance_check(params, 50000, make_rng(19))
-        tied = normal_covariance_check(params, 50000, make_rng(19), k=first.statistic)
-        assert tied.statistic == tied.threshold
-        assert tied.kind == "verification_report" and tied.passed
 
     def test_normalization_passes_at_equality(self, monkeypatch):
         # unit density values: the statistic and the standard error are both 0
