@@ -350,7 +350,7 @@ def general_class_check(
 
 def normal_covariance_check(
     params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator,
-    level: float = DEFAULT_LEVEL, n_functionals: int = DEFAULT_FUNCTIONALS,
+    level: float = DEFAULT_LEVEL,
 ) -> CheckResult:
     """Normal draws whitened in place by their column covariance, W = C^{-1/2} Z, have i.i.d.
     CN(0, 1) entries: |e^H W f|^2 ~ Exp(1) and arg(e^H W f) is uniform for unit e and f, and a
@@ -359,7 +359,7 @@ def normal_covariance_check(
     _require_samples("normal_covariance", n)
     columns = linalg._frame_columns(dist.sample_complex_matrix_normal_batch(params, n, rng))
     columns[...] = linalg.hermitian_inv_sqrt(params.column_cov).mat @ columns
-    lefts, rights = (_unit_vectors(rng, n_functionals, dim) for dim in (params.m, params.r))
+    lefts, rights = (_unit_vectors(rng, DEFAULT_FUNCTIONALS, dim) for dim in (params.m, params.r))
     entries = np.einsum("jnk,jk->jn", (lefts.conj() @ columns).reshape(len(lefts), n, -1), rights)
     norms = (columns.real**2 + columns.imag**2).sum(axis=0)
     laws = [("|e^H W f|^2", "Exp(1)", _gamma_cdf(entries.real**2 + entries.imag**2, 1)),
