@@ -32,7 +32,6 @@ from .distributions import (
 )
 from .errors import NumericalError, ValidationError
 from .linalg import HermitianPD, hermitian_part, hermitian_sqrt_newton
-from .verify import CHECK_NAMES, DEFAULT_LEVEL, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -42,6 +41,13 @@ EXIT_NUMERICAL_ERROR = 3
 DEFAULT_SEED = 0
 DEFAULT_VERIFY_SAMPLES = 100000
 SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
+
+
+def run_suite(*args, **kwargs):
+    """``verify.run_suite``, imported on call: only ``verify`` loads the harness."""
+    from .verify import run_suite as run
+
+    return run(*args, **kwargs)
 
 
 def _resolve_seed(args) -> int:
@@ -160,7 +166,8 @@ def cmd_verify(args) -> int:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
         if not checks:
             raise ValidationError("--checks is empty")
-    results = run_suite(params, n=args.n, seed=seed, checks=checks, level=args.level)
+    level = {} if args.level is None else {"level": args.level}
+    results = run_suite(params, n=args.n, seed=seed, checks=checks, **level)
     entries = [
         {"check_name": name, "kind": outcome.kind, "statistic": outcome.statistic,
          "threshold": outcome.threshold, "verdict": outcome.verdict, "details": outcome.details}
@@ -209,13 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_param=True):
+    def add_common(p, formats=("csv", "json")):
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed (default 0)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if with_param:
-            p.add_argument("--param", help="parameter matrix CSV ((Re, Im) column pairs)")
-            p.add_argument("--uniform", action="store_true", help="use the identity parameter")
-            p.add_argument("--m", type=int, default=None, help="ambient dimension")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--param", help="parameter matrix CSV ((Re, Im) column pairs)")
+        p.add_argument("--uniform", action="store_true", help="use the identity parameter")
+        p.add_argument("--m", type=int, default=None, help="ambient dimension")
 
     p_sample = sub.add_parser("sample", help="draw orientations from the distribution")
     add_common(p_sample)
@@ -237,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.set_defaults(handler=cmd_density)
 
     p_verify = sub.add_parser("verify", help="run the Monte Carlo verification suite")
-    add_common(p_verify)
+    add_common(p_verify, formats=("json",))  # the report is always JSON
     p_verify.add_argument(
         "--r", type=int, default=2,
         help="frame size (default 2; default parameter is diag(m..1) with m=3)",
@@ -245,10 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         default=None,
-        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)} (default: all)",
+        help="comma-separated subset of the checks (default: all; an unknown name lists them)",
     )
     p_verify.add_argument("--n", type=int, default=DEFAULT_VERIFY_SAMPLES)
-    p_verify.add_argument("--level", type=float, default=DEFAULT_LEVEL)
+    p_verify.add_argument("--level", type=float, default=None,
+                          help="false-alarm level of each check (default: run_suite's)")
     p_verify.add_argument("--out", default="cmacg_verify_report.json")
     p_verify.set_defaults(handler=cmd_verify)
 

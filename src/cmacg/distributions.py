@@ -18,6 +18,8 @@ use one generator per thread, derived via :func:`derive_rng`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import linalg
@@ -31,7 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .linalg import HermitianPD, StiefelPoint, _orientation_batch, as_complex_matrix, hermitian_part
-from .special import ManifoldDims
+
+if TYPE_CHECKING:
+    from .special import ManifoldDims
 
 # Parameter matrices beyond this condition number degrade both the density
 # evaluation and the polar step of the sampler.
@@ -43,8 +47,13 @@ DENSITY_MANIFOLD_ATOL = 1e-8
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
-# Opaque deterministic generator state consumed by the samplers.
-RngState = np.random.Generator
+
+def __getattr__(name):
+    # RngState, the opaque generator type the samplers consume, resolves on use:
+    # naming np.random.Generator at import would load numpy.random for every caller.
+    if name == "RngState":
+        return np.random.Generator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

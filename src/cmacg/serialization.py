@@ -25,7 +25,6 @@ import functools
 import hashlib
 import json
 import os
-import secrets
 import warnings
 
 import numpy as np
@@ -200,7 +199,7 @@ def param_checksum(mat: np.ndarray) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename; the mode follows the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".tmp-{secrets.token_hex(16)}.part")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(16).hex()}.part")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
