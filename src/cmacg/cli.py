@@ -39,15 +39,14 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 DEFAULT_SEED = 0
-DEFAULT_VERIFY_SAMPLES = 100000
 SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
 
 
 def run_suite(*args, **kwargs):
-    """``verify.run_suite``, imported on call: only ``verify`` loads the harness."""
-    from .verify import run_suite as run
+    """``_workers.run_checks``, imported on call: only ``verify`` loads the harness."""
+    from ._workers import run_checks
 
-    return run(*args, **kwargs)
+    return run_checks(*args, **kwargs)
 
 
 def _resolve_seed(args) -> int:
@@ -166,8 +165,10 @@ def cmd_verify(args) -> int:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
         if not checks:
             raise ValidationError("--checks is empty")
-    level = {} if args.level is None else {"level": args.level}
-    results = run_suite(params, n=args.n, seed=seed, checks=checks, **level)
+    options = {name: value for name, value in (("n", args.n), ("level", args.level))
+               if value is not None}  # else run_suite's defaults
+    sidecar = {}
+    results = run_suite(params, seed=seed, checks=checks, sidecar=sidecar, **options)
     entries = [
         {"check_name": name, "kind": outcome.kind, "statistic": outcome.statistic,
          "threshold": outcome.threshold, "verdict": outcome.verdict, "details": outcome.details}
@@ -176,7 +177,7 @@ def cmd_verify(args) -> int:
     ser.write_atomic(args.out, ser.dump_json(entries))
     ser.write_sidecar(
         args.out,
-        _base_metadata(seed, params.m, params.r, args.n, params.cov.mat, started),
+        {**_base_metadata(seed, params.m, params.r, args.n, params.cov.mat, started), **sidecar},
     )
     for name, outcome in results:
         status = "pass" if outcome.passed else "FAIL"
@@ -253,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of the checks (default: all; an unknown name lists them)",
     )
-    p_verify.add_argument("--n", type=int, default=DEFAULT_VERIFY_SAMPLES)
+    p_verify.add_argument("--n", type=int, default=None,
+                          help="draws per check (default: run_suite's)")
     p_verify.add_argument("--level", type=float, default=None,
                           help="false-alarm level of each check (default: run_suite's)")
     p_verify.add_argument("--out", default="cmacg_verify_report.json")

@@ -192,8 +192,12 @@ def values_to_json(values) -> str:
 
 
 def param_checksum(mat: np.ndarray) -> str:
-    """SHA-256 of the canonical CSV serialization of a parameter matrix."""
-    return hashlib.sha256(matrix_to_csv(mat).encode("ascii")).hexdigest()
+    """SHA-256 of the canonical CSV serialization of a parameter matrix: the text of
+    ``matrix_to_csv``, printed here cell by cell with "%.17g", which an m x m matrix
+    affords, so that a command that writes no CSV never builds the block encoder."""
+    rows = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).tolist()
+    text = "".join(",".join("%.17g" % cell for cell in row) + "\n" for row in rows)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def write_atomic(path: str, text: str) -> None:

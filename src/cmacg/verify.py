@@ -47,6 +47,7 @@ DEFAULT_FUNCTIONALS = 3
 MEAN_CHECK_ATOL = 1e-9
 
 MIN_CHECK_SAMPLES = 10000
+DEFAULT_SAMPLES = 100000
 MIN_KS_SAMPLES = 100
 
 DEFAULT_MIXTURE_SHAPE = 3.0
@@ -387,9 +388,26 @@ def default_transform(m: int, rng: np.random.Generator) -> np.ndarray:
             return candidate
 
 
+def select_checks(
+    checks=None, n: int = DEFAULT_SAMPLES, level: float = DEFAULT_LEVEL
+) -> tuple[str, ...]:
+    """The checks to run, in order (all by default), once the names, ``n`` and ``level`` are
+    validated: bad input is rejected before any check spends time."""
+    selected = tuple(checks) if checks is not None else CHECK_NAMES
+    unknown = [name for name in selected if name not in CHECK_NAMES]
+    if unknown:
+        raise ValidationError(
+            f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
+        )
+    _require_level(level)
+    for name in selected:
+        _require_samples(name, n)
+    return selected
+
+
 def run_suite(
     params: CmacgParams,
-    n: int = 100000,
+    n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     checks=None,
     level: float = DEFAULT_LEVEL,
@@ -401,17 +419,8 @@ def run_suite(
     A check's stream depends only on (seed, its fixed lane index), so a
     check reports identically whether run alone or within the full suite.
     """
-    selected = tuple(checks) if checks is not None else CHECK_NAMES
-    unknown = [name for name in selected if name not in CHECK_NAMES]
-    if unknown:
-        raise ValidationError(
-            f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
-        )
-    _require_level(level)  # reject bad input before any check spends time
-    for name in selected:
-        _require_samples(name, n)
     results = []
-    for name in selected:
+    for name in select_checks(checks, n, level):
         rng = dist.derive_rng(seed, CHECK_NAMES.index(name))
         if name == "normalization":
             outcome = normalization_check(params, n, rng, k=k)

@@ -64,6 +64,11 @@ class TestImportFootprint:
         assert random_modules(density) == set()
         assert (tmp_path / "dens.csv").read_text().count("\n") == 3
 
+    def test_verify_skips_the_csv_encoder(self, tmp_path):
+        loaded = loaded_after_numpy(RUN_CLI, "verify", "--checks", "normalization", "--n", "100",
+                                    "--out", "r.json", cwd=tmp_path)
+        assert "cmacg.verify" in loaded and "cmacg._dtoa" not in loaded
+
     def test_bare_import_loads_no_submodule(self):
         loaded = loaded_after_numpy("import cmacg")
         assert {name for name in loaded if name.startswith("cmacg")} == {"cmacg"}
@@ -75,7 +80,7 @@ class TestImportFootprint:
             "calls = []\n"
             "cli.run_suite = lambda *a, **k: calls.append(k) or []\n"
             "assert cli.main(['verify', '--out', 'r.json']) == 0\n"
-            "assert calls == [{'n': 100000, 'seed': 0, 'checks': None}], calls\n"
+            "assert calls == [{'seed': 0, 'checks': None, 'sidecar': {}}], calls\n"
         )
         loaded = loaded_after_numpy(body, cwd=tmp_path)
         assert "cmacg.verify" not in loaded

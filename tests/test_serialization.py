@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -484,6 +485,22 @@ class TestChecksumAndSidecar:
     def test_checksum_distinguishes(self):
         mat = random_draws(1, 2, 2, seed=3)[0]
         assert ser.param_checksum(mat) != ser.param_checksum(mat + 1.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 12])
+    def test_checksum_hashes_the_block_encoders_text(self, m):
+        # signed zeros, subnormals, integers, and cells on both sides of the block
+        # encoder's exact window 1e-4 <= |x| < 1e17, where it computes the digits itself
+        edges = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 9.99999999999999e-5,
+                 1e-4, -1e-4, 1e17, -9.999999999999998e16, 1e300, 3.0, -7.0, 2.0**53, 0.1]
+        rng = np.random.default_rng(m)
+        mat = random_draws(1, m, m, seed=m)[0]
+        cells = mat.view(np.float64).reshape(-1)
+        k = min(cells.size, len(edges))
+        cells[:k] = edges[:k]
+        cells[k:] *= 10.0 ** rng.integers(-8, 20, cells.size - k)
+        text = ser.matrix_to_csv(mat)
+        assert text.startswith("-0,0")
+        assert ser.param_checksum(mat) == hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def test_write_atomic_and_sidecar(self, tmp_path):
         target = str(tmp_path / "out.csv")
