@@ -12,8 +12,8 @@ prints one Markdown table: the rejections of each check and of the family
 binomial tails, and the nominal rate.  The four exact-law checks reject at
 most at the default level, 0.01, by construction (DKW-Massart bound,
 Bonferroni), and close to it in practice; ``normalization`` judges a mean
-at 4 standard errors, about 6e-5 if the normal approximation held.  Needs
-numpy and the standard library only.
+at ``DEFAULT_K`` = 4 standard errors, about 6e-5 if the normal
+approximation held.  Needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from cmacg import CmacgParams  # noqa: E402
-from cmacg.verify import CHECK_NAMES, DEFAULT_LEVEL, run_suite  # noqa: E402
+from cmacg.verify import CHECK_NAMES, DEFAULT_K, DEFAULT_LEVEL, run_suite  # noqa: E402
 
 N = 10000
 # (m, r, seeds); the parameter is diag(m, ..., 1)
 GRID = ((3, 2, 400), (2, 2, 400), (3, 1, 400), (12, 4, 200))
-NORMALIZATION_NOMINAL = math.erfc(4 / math.sqrt(2))
+NORMALIZATION_NOMINAL = math.erfc(DEFAULT_K / math.sqrt(2))  # two-sided normal tail at k SE
 
 
 def binomial_sf(x: int, trials: int, p: float) -> float:

@@ -38,13 +38,13 @@ SECOND_WORKER = (1, 2)
 PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for this process when its parent dies
 
 
-def run_checks(params, seed=0, checks=None, sidecar=None, **options):
-    """``verify.run_suite``'s results, with ``options`` its ``n`` and ``level``, one timed
-    check at a time.  Where ``os.fork``, two usable CPUs, two selected checks and a BLAS
-    thread cap are all there, the checks run on two forked workers, else serially.
-    ``sidecar``, if given, receives the resolved ``n``, ``stages`` ({check: ms}) and
-    ``workers``."""
-    selected = verify.select_checks(checks, **options)  # bad input never forks
+def run_checks(params, seed=0, checks=None, sidecar=None, n=verify.DEFAULT_SAMPLES,
+               level=verify.DEFAULT_LEVEL):
+    """``verify.run_suite``'s results, one timed check at a time.  Where ``os.fork``, two
+    usable CPUs, two selected checks and a BLAS thread cap are all there, the checks run on
+    two forked workers, else serially.  ``sidecar``, if given, receives ``n``, ``stages``
+    ({check: ms}) and ``workers``."""
+    selected = verify.select_checks(checks, n, level)  # bad input never forks
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     fork = hasattr(os, "fork") and len(cpus) >= 2 and len(selected) >= 2
     cap = _blas_thread_cap() if fork else None
@@ -52,13 +52,12 @@ def run_checks(params, seed=0, checks=None, sidecar=None, **options):
     def run(names):
         for name in names:
             started = time.perf_counter()
-            [(_, outcome)] = verify.run_suite(params, seed=seed, checks=(name,), **options)
+            outcome = verify._run_check(name, params, n, seed, level)
             yield name, outcome, round(1000.0 * (time.perf_counter() - started), 3)
 
     timed = list(run(selected)) if cap is None else _on_two_workers(cap, selected, run)
     if sidecar is not None:
-        sidecar.update(n=options.get("n", verify.DEFAULT_SAMPLES),
-                       stages={name: ms for name, _, ms in timed},
+        sidecar.update(n=n, stages={name: ms for name, _, ms in timed},
                        workers=1 if cap is None else 2)
     return [(name, outcome) for name, outcome, _ in timed]
 

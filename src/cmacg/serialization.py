@@ -201,19 +201,23 @@ def param_checksum(mat: np.ndarray) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename; the mode follows the umask."""
+    """Write via a temp file in the target directory, then rename; the mode follows the umask.
+    An OSError names ``path``, not the temp file, which is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(16).hex()}.part")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
+                for start in range(0, len(text), _WRITE_CHARS):
+                    handle.write(text[start:start + _WRITE_CHARS])
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def sidecar_path(output_path: str) -> str:

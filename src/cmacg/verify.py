@@ -169,13 +169,25 @@ def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _directions(columns: np.ndarray, r: int, rng: np.random.Generator, count: int, symbol: str):
+    """||W^H e||^2, e^H W f and the law of arg(e^H W f), uniform, shaped (count, n), for
+    ``count`` random unit (e, f), the e drawn first, and each W (written ``symbol``) of a
+    sample laid out as one m x (n r) matrix, which one product maps."""
+    lefts, rights = _unit_vectors(rng, count, columns.shape[0]), _unit_vectors(rng, count, r)
+    products = (lefts.conj() @ columns).reshape(count, -1, r)
+    entries = np.einsum("jnk,jk->jn", products, rights)
+    spans = np.einsum("jnk,jnk->jn", *[products.view(np.float64)] * 2)
+    del products  # not to be alive while the arguments are formed
+    return spans, entries, (f"arg(e^H {symbol} f)", "Uniform(-pi, pi]",
+                            np.angle(entries) / (2 * math.pi) + 0.5)
+
+
 def _ks_subtests(laws: list[tuple[str, str, np.ndarray]], level: float) -> list[CheckResult]:
-    """One KS subtest at the Bonferroni level per law and per row (direction) of its CDF values."""
-    named = []
-    for functional, law, uniforms in laws:
-        name = f"KS of {functional} against {law}"
-        named += ([(f"{name}, direction {j + 1}", u) for j, u in enumerate(uniforms)]
-                  if np.ndim(uniforms) > 1 else [(name, uniforms)])
+    """One KS subtest at the Bonferroni level per law and per row of its 2-D CDF values; the
+    rows are directions, named as such where a law has more than one."""
+    named = [(f"KS of {functional} against {law}"
+              + (f", direction {j + 1}" if len(uniforms) > 1 else ""), u)
+             for functional, law, uniforms in laws for j, u in enumerate(uniforms)]
     level /= len(named)
     return [_ks_uniform(u, level, f"{name} (whitened; Bonferroni level {level:g})")
             for name, u in named]
@@ -183,10 +195,10 @@ def _ks_subtests(laws: list[tuple[str, str, np.ndarray]], level: float) -> list[
 
 def _exact_law_subtests(
     columns: np.ndarray, r: int, chol_inv: np.ndarray, rng: np.random.Generator,
-    level: float, n_functionals: int,
+    level: float, count: int,
 ) -> list[CheckResult]:
     """KS subtests of a CMACG(L L^H) sample, laid out as one m x (n r) matrix, against the
-    uniform law's marginals after whitening.  Each of ``n_functionals`` random directions
+    uniform law's marginals after whitening.  Each of ``count`` random directions
     (e, f) gives ||H^H e||^2 ~ Beta(r, m - r) (m > r), |e^H H f|^2 ~ Beta(1, m - 1)
     (r > 1; at r = 1 it is the first) and arg(e^H H f), uniform.
 
@@ -199,18 +211,17 @@ def _exact_law_subtests(
     del columns
     if bad.any():
         raise RankDeficient(f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
-    lefts, rights = _unit_vectors(rng, n_functionals, m), _unit_vectors(rng, n_functionals, r)
-    # e_j^H H for every frame and direction j, one product on the frames' layout
-    products = (lefts.conj() @ linalg._frame_columns(frames)).reshape(n_functionals, n, r)
+    columns = linalg._frame_columns(frames)
     del frames
-    entries, laws = np.einsum("jnk,jk->jn", products, rights), []
+    spans, entries, arg_law = _directions(columns, r, rng, count, "H")
+    del columns
+    laws = []
     if m > r:
-        spans = np.einsum("jnk,jnk->jn", *[products.view(np.float64)] * 2)
         laws.append(("||H^H e||^2", f"Beta({r}, {m - r})", _beta_cdf(spans, r, m - r)))
     if r > 1:
         moduli = entries.real**2 + entries.imag**2
         laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})", _beta_cdf(moduli, 1, m - 1)))
-    laws.append(("arg(e^H H f)", "Uniform(-pi, pi]", np.angle(entries) / (2 * math.pi) + 0.5))
+    laws.append(arg_law)
     return _ks_subtests(laws, level)
 
 
@@ -223,9 +234,7 @@ def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResul
     )
 
 
-def normalization_check(
-    params: CmacgParams, n: int, rng: np.random.Generator, k: float = DEFAULT_K
-) -> CheckResult:
+def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -> CheckResult:
     """Estimate the integral of the density against uniform draws; target one.
 
     Uniform importance sampling: with draws from the exact uniform sampler
@@ -241,7 +250,7 @@ def normalization_check(
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     statistic = abs(estimate - 1.0)
-    threshold = k * std_error + MEAN_CHECK_ATOL
+    threshold = DEFAULT_K * std_error + MEAN_CHECK_ATOL
     return CheckResult(
         "normalization",
         "verification_report",
@@ -249,17 +258,13 @@ def normalization_check(
         threshold,
         "pass" if statistic <= threshold else "fail",
         {"n_samples": n, "estimate": estimate, "std_error": std_error, "target": 1.0,
-         "k": k, "atol": MEAN_CHECK_ATOL, "m": params.m, "r": params.r},
+         "k": DEFAULT_K, "atol": MEAN_CHECK_ATOL, "m": params.m, "r": params.r},
     )
 
 
 def unitary_invariance_check(
-    params: CmacgParams,
-    n: int,
-    rng: np.random.Generator,
-    level: float = DEFAULT_LEVEL,
+    params: CmacgParams, n: int, rng: np.random.Generator, level: float = DEFAULT_LEVEL,
     unitary: np.ndarray | None = None,
-    n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
     """Right multiplication by a unitary U, which defaults to a uniform draw.
 
@@ -285,17 +290,13 @@ def unitary_invariance_check(
     del before, base, turned  # not to be alive while the exact-law subtests run
     # H U for every frame, one product on the laid-out rows; H is released
     columns = (columns.reshape(m * n, r) @ unitary).reshape(m, n * r)
-    subtests += _exact_law_subtests(columns, r, params.chol_inv, rng, level, n_functionals)
+    subtests += _exact_law_subtests(columns, r, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("unitary_invariance", subtests, n)
 
 
 def corollary_check(
-    params: CmacgParams,
-    transform,
-    n: int,
-    rng: np.random.Generator,
+    params: CmacgParams, transform, n: int, rng: np.random.Generator,
     level: float = DEFAULT_LEVEL,
-    n_functionals: int = DEFAULT_FUNCTIONALS,
 ) -> CheckResult:
     """Orientations of transformed draws B Z follow CMACG(B P B^H).
 
@@ -311,41 +312,38 @@ def corollary_check(
         return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
 
     columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
-    subtests = _exact_law_subtests(columns, params.r, target.chol_inv, rng, level, n_functionals)
+    subtests = _exact_law_subtests(
+        columns, params.r, target.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("corollary", subtests, n)
 
 
 def general_class_check(
-    params: CmacgParams,
-    n: int,
-    rng: np.random.Generator,
-    mixture_shape: float | None = DEFAULT_MIXTURE_SHAPE,
-    mixture_rate: float = DEFAULT_MIXTURE_RATE,
-    level: float = DEFAULT_LEVEL,
-    n_functionals: int = DEFAULT_FUNCTIONALS,
+    params: CmacgParams, n: int, rng: np.random.Generator,
+    mixture_shape: float | None = DEFAULT_MIXTURE_SHAPE, level: float = DEFAULT_LEVEL,
 ) -> CheckResult:
     """Orientations of scale-mixture draws follow CMACG(P).
 
-    Each normal draw is divided by the square root of an independent gamma
-    variable, producing a draw whose density depends on the data only
-    through the quadratic form in the parameter inverse and is invariant
-    under right unitary maps.  ``mixture_shape=None`` selects the degenerate
-    mixture (weight one).
+    Each normal draw is divided by the square root of an independent
+    Gamma(``mixture_shape``, ``DEFAULT_MIXTURE_RATE``) variable, producing a
+    draw whose density depends on the data only through the quadratic form
+    in the parameter inverse and is invariant under right unitary maps.
+    ``mixture_shape=None`` selects the degenerate mixture (weight one).
     """
     _require_samples("general_class", n)
-    if mixture_shape is not None and (mixture_shape <= 0 or mixture_rate <= 0):
-        raise ValidationError("mixture shape and rate must be positive")
+    if mixture_shape is not None and mixture_shape <= 0:
+        raise ValidationError(f"mixture shape must be positive, got {mixture_shape}")
     normal_params = ComplexMatrixNormalParams(params.cov, params.r)
 
     def draw(count: int) -> np.ndarray:
         z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
         if mixture_shape is None:
             return z
-        weights = rng.gamma(shape=mixture_shape, scale=1.0 / mixture_rate, size=count)
+        weights = rng.gamma(shape=mixture_shape, scale=1.0 / DEFAULT_MIXTURE_RATE, size=count)
         return z / np.sqrt(weights)[:, None, None]
 
     columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
-    subtests = _exact_law_subtests(columns, params.r, params.chol_inv, rng, level, n_functionals)
+    subtests = _exact_law_subtests(
+        columns, params.r, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("general_class", subtests, n)
 
 
@@ -360,12 +358,10 @@ def normal_covariance_check(
     _require_samples("normal_covariance", n)
     columns = linalg._frame_columns(dist.sample_complex_matrix_normal_batch(params, n, rng))
     columns[...] = linalg.hermitian_inv_sqrt(params.column_cov).mat @ columns
-    lefts, rights = (_unit_vectors(rng, DEFAULT_FUNCTIONALS, dim) for dim in (params.m, params.r))
-    entries = np.einsum("jnk,jk->jn", (lefts.conj() @ columns).reshape(len(lefts), n, -1), rights)
+    entries, arg_law = _directions(columns, params.r, rng, DEFAULT_FUNCTIONALS, "W")[1:]
     norms = (columns.real**2 + columns.imag**2).sum(axis=0)
-    laws = [("|e^H W f|^2", "Exp(1)", _gamma_cdf(entries.real**2 + entries.imag**2, 1)),
-            ("arg(e^H W f)", "Uniform(-pi, pi]", np.angle(entries) / (2 * math.pi) + 0.5),
-            ("||w||^2 of each column", f"Gamma({params.m}, 1)", _gamma_cdf(norms, params.m))]
+    laws = [("|e^H W f|^2", "Exp(1)", _gamma_cdf(entries.real**2 + entries.imag**2, 1)), arg_law,
+            ("||w||^2 of each column", f"Gamma({params.m}, 1)", _gamma_cdf(norms[None], params.m))]
     return _worst_subtest("normal_covariance", _ks_subtests(laws, level), n)
 
 
@@ -405,35 +401,28 @@ def select_checks(
     return selected
 
 
-def run_suite(
-    params: CmacgParams,
-    n: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    checks=None,
-    level: float = DEFAULT_LEVEL,
-    k: float = DEFAULT_K,
-    transform=None,
-) -> list[tuple[str, CheckResult]]:
-    """Run the selected checks, each on its own stream derived from the seed.
+def _run_check(name: str, params: CmacgParams, n: int, seed: int, level: float) -> CheckResult:
+    """The check ``name`` on its own stream, ``derive_rng(seed, its lane)``, so that it reports
+    the same alone, in a suite or on a worker.  Each ``<name>_check`` is read from this module
+    at call time, where a patched one is seen."""
+    rng = dist.derive_rng(seed, CHECK_NAMES.index(name))
+    if name == "normalization":
+        return normalization_check(params, n, rng)
+    if name == "unitary_invariance":
+        return unitary_invariance_check(params, n, rng, level=level)
+    if name == "corollary":
+        return corollary_check(params, default_transform(params.m, rng), n, rng, level=level)
+    if name == "general_class":
+        return general_class_check(params, n, rng, level=level)
+    return normal_covariance_check(
+        ComplexMatrixNormalParams(params.cov, params.r), n, rng, level=level
+    )
 
-    A check's stream depends only on (seed, its fixed lane index), so a
-    check reports identically whether run alone or within the full suite.
-    """
-    results = []
-    for name in select_checks(checks, n, level):
-        rng = dist.derive_rng(seed, CHECK_NAMES.index(name))
-        if name == "normalization":
-            outcome = normalization_check(params, n, rng, k=k)
-        elif name == "unitary_invariance":
-            outcome = unitary_invariance_check(params, n, rng, level=level)
-        elif name == "corollary":
-            b = transform if transform is not None else default_transform(params.m, rng)
-            outcome = corollary_check(params, b, n, rng, level=level)
-        elif name == "general_class":
-            outcome = general_class_check(params, n, rng, level=level)
-        else:
-            outcome = normal_covariance_check(
-                ComplexMatrixNormalParams(params.cov, params.r), n, rng, level=level
-            )
-        results.append((name, outcome))
-    return results
+
+def run_suite(
+    params: CmacgParams, n: int = DEFAULT_SAMPLES, seed: int = 0, checks=None,
+    level: float = DEFAULT_LEVEL,
+) -> list[tuple[str, CheckResult]]:
+    """Run the selected checks in order, each on its own stream derived from the seed."""
+    return [(name, _run_check(name, params, n, seed, level))
+            for name in select_checks(checks, n, level)]

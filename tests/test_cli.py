@@ -440,6 +440,64 @@ class TestUndecodableInput:
         assert not os.path.exists(out)
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sample", "--uniform", "--m", "2", "--param", "{param}", "--r", "1", "--n", "5"],
+             "--uniform and --param are mutually exclusive"),
+            (["sample", "--uniform", "--r", "1", "--n", "5"], "--uniform requires --m"),
+            (["sample", "--param", "{wide}", "--r", "1", "--n", "5"],
+             "{wide}: parameter matrix must be square, got 2x3"),
+            (["sample", "--uniform", "--m", "2", "--r", "1", "--n", "0"],
+             "--n must be >= 1, got 0"),
+            (["density", "--uniform", "--m", "2", "--r", "2", "--input", "{frames}"],
+             "--r 2 does not match frames of width 1"),
+            (["verify", "--checks", ","], "--checks is empty"),
+        ],
+        ids=["uniform-and-param", "uniform-without-m", "non-square", "sample-n-0",
+             "density-r-mismatch", "verify-empty-checks"],
+    )
+    def test_exits_two_with_message_and_writes_nothing(
+            self, tmp_path, param_csv, capsys, argv, message):
+        paths = {"param": param_csv, "wide": str(tmp_path / "wide.csv"),
+                 "frames": str(tmp_path / "frames.csv")}
+        with open(paths["wide"], "w") as handle:
+            handle.write(ser.matrix_to_csv(np.ones((2, 3), dtype=complex)))
+        with open(paths["frames"], "w") as handle:
+            handle.write(ser.draws_to_csv(np.array([[[1.0], [0.0]]], dtype=complex)))
+        out = tmp_path / "out"
+        code = cli.main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["P.csv", "frames.csv", "wide.csv"]
+
+    def test_non_integer_seed_variable_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        out = tmp_path / "draws.csv"
+        code = cli.main(["sample", "--uniform", "--m", "2", "--r", "1", "--n", "5",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: CMACG_DEFAULT_SEED is not an integer: 'abc'\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_failed_write_names_the_out_path(self, tmp_path, capsys, target):
+        # the temp file the write goes through is never named, and never left behind
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = out / "draws.csv"
+        code = cli.main(["sample", "--uniform", "--m", "2", "--r", "1", "--n", "5",
+                         "--out", str(out)])
+        assert code == 2
+        reason = "Is a directory" if target == "directory" else "No such file or directory"
+        assert capsys.readouterr().err.endswith(f"] {reason}: {str(out)!r}\n")
+        left = [name for _, _, names in os.walk(tmp_path) for name in names]
+        assert left == []
+
+
 class TestEntryPoints:
     def test_traced_seams_stay_module_attributes(self):
         # perfbench/tracing.py wraps these by name in cli, where the handlers look them up
