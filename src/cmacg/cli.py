@@ -7,6 +7,10 @@ Monte Carlo check suite), ``sqrt`` (principal Hermitian square root).
 Exit codes are exhaustive: 0 success, 1 verification failure, 2 input or
 configuration error, 3 numerical failure.
 
+``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
+a fixed size and write each chunk's text as it is made, so their memory is
+bounded by a chunk, not by the number of draws.
+
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
 effective seed is echoed in the metadata sidecar written next to each
@@ -30,7 +34,7 @@ from .distributions import (
     make_rng,
     sample_cmacg_batch,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NotOnManifold, NumericalError, ValidationError
 from .linalg import HermitianPD, hermitian_part, hermitian_sqrt_newton
 
 EXIT_OK = 0
@@ -40,6 +44,19 @@ EXIT_NUMERICAL_ERROR = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
+
+# Draws per chunk of ``sample``.  Chunked draws are the draws of one whole call,
+# bit for bit: the normal draw keeps no state between calls, and the factor
+# product and the orientation act draw by draw.
+SAMPLE_CHUNK = 4096
+# Bytes per read of a ``density`` CSV input, and draws per density evaluation.
+# Every evaluation but the last takes exactly DENSITY_BATCH draws, and the last
+# starts at a multiple of it: the density's bits depend on the batch (its
+# whitening GEMM takes an edge kernel for the last n r mod 4 columns, and numpy
+# hands a single column to gemv), so fixed batches keep them whatever the
+# pieces hold.
+READ_BYTES = 1 << 20
+DENSITY_BATCH = 2048
 
 
 def run_suite(*args, **kwargs):
@@ -69,6 +86,34 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_pieces(path: str):
+    """The text of a file in pieces of about ``READ_BYTES``, each but the last ending at a
+    line feed, with whether it is the last.  An undecodable byte is named by its
+    position in the file, as a whole read names it."""
+    try:
+        with open(path, "rb") as handle:
+            head, block, done = b"", handle.read(READ_BYTES), 0
+            while True:
+                following = handle.read(READ_BYTES) if block else b""
+                data = head + block
+                cut = data.rfind(b"\n") + 1 if following else len(data)
+                if cut or not following:
+                    try:
+                        text = data[:cut].decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        first, last = done + exc.start, done + exc.end - 1
+                        where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}"
+                                 if first == last else f"bytes in position {first}-{last}")
+                        raise ValidationError(f"cannot read {path}: '{exc.encoding}' codec "
+                                              f"can't decode {where}: {exc.reason}") from exc
+                    yield text, not following
+                if not following:
+                    return
+                head, block, done = data[cut:], following, done + cut
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_param(args) -> HermitianPD:
     if getattr(args, "uniform", False):
         if args.param is not None:
@@ -91,11 +136,34 @@ def _load_param(args) -> HermitianPD:
     return param
 
 
-def _load_frames(path: str, fmt: str) -> np.ndarray:
-    text = _read_text(path)
+def _load_frames(path: str, fmt: str):
+    """The frames of a ``density`` input: a CSV file decoded a piece at a time, each
+    piece's draws as one array; a JSON document read and decoded whole."""
     if fmt == "json":
-        return ser.draws_from_json(text, path_hint=path)
-    return ser.draws_from_csv(text, path_hint=path)
+        yield ser.draws_from_json(_read_text(path), path_hint=path)
+        return
+    cursor = ser.CsvCursor(last=False)
+    for text, cursor.last in _read_pieces(path):
+        yield ser.draws_from_csv(text, path, cursor)
+
+
+def _batches(chunks, size: int):
+    """The draws of a stream of arrays, regrouped into arrays of exactly ``size`` draws and
+    a last one of the rest: the whole stream below ``2 size`` draws, else ``size`` to
+    ``2 size - 1`` draws, so that it is never a single draw of one column, which numpy
+    would multiply by gemv, not gemm."""
+    held, count = [], 0
+    for chunk in chunks:
+        if len(chunk):
+            held.append(chunk)
+            count += len(chunk)
+        if count >= 2 * size:
+            stack = np.concatenate(held)
+            whole = count - count % size - size  # keep one batch for the end
+            yield from (stack[start:start + size] for start in range(0, whole, size))
+            held, count = [stack[whole:]], count - whole
+    if count:
+        yield np.concatenate(held)
 
 
 def _base_metadata(seed: int, m: int, r: int, n: int, param_mat, started: float) -> dict:
@@ -117,11 +185,13 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     params = CmacgParams(param, args.r)
-    draws = sample_cmacg_batch(params, args.n, make_rng(seed))
-    if args.as_projection:
-        draws = hermitian_part(draws @ np.swapaxes(draws.conj(), 1, 2))
-    text = ser.draws_to_json(draws) if args.format == "json" else ser.draws_to_csv(draws)
-    ser.write_atomic(args.out, text)
+    rng = make_rng(seed)
+    with ser.chunk_writer(args.out, args.format, "draws") as write:
+        for start in range(0, args.n, SAMPLE_CHUNK):
+            draws = sample_cmacg_batch(params, min(SAMPLE_CHUNK, args.n - start), rng)
+            if args.as_projection:
+                draws = hermitian_part(draws @ np.swapaxes(draws.conj(), 1, 2))
+            write(draws, start)
     ser.write_sidecar(
         args.out,
         _base_metadata(seed, params.m, params.r, args.n, params.cov.mat, started),
@@ -134,18 +204,25 @@ def cmd_density(args) -> int:
     seed = _resolve_seed(args)
     param = _load_param(args)
     frames = _load_frames(args.input, args.format)
-    r = frames.shape[2]
-    if args.r is not None and args.r != r:
-        raise ValidationError(f"--r {args.r} does not match frames of width {r}")
-    params = CmacgParams(param, r)
-    values = cmacg_log_density_batch(params, frames)
-    text = (
-        ser.values_to_json(values) if args.format == "json" else ser.values_to_csv(values)
-    )
-    ser.write_atomic(args.out, text)
+    params, n = None, 0
+    with ser.chunk_writer(args.out, args.format, "log_densities") as write:
+        for batch in _batches(frames, DENSITY_BATCH):
+            if params is None:
+                r = batch.shape[2]
+                if args.r is not None and args.r != r:
+                    raise ValidationError(f"--r {args.r} does not match frames of width {r}")
+                params = CmacgParams(param, r)
+            try:
+                values = cmacg_log_density_batch(params, batch)
+            except NotOnManifold as exc:  # name the frame by its place in the file
+                raise NotOnManifold(
+                    str(exc).replace(f"frame {exc.frame} ", f"frame {n + exc.frame} ", 1),
+                    exc.residual, n + exc.frame) from None
+            write(values, n)
+            n += len(batch)
     ser.write_sidecar(
         args.out,
-        _base_metadata(seed, params.m, params.r, frames.shape[0], params.cov.mat, started),
+        _base_metadata(seed, params.m, params.r, n, params.cov.mat, started),
     )
     return EXIT_OK
 

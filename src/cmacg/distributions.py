@@ -256,7 +256,7 @@ def cmacg_log_density_batch(params: CmacgParams, frames: np.ndarray) -> np.ndarr
         raise NotOnManifold(
             f"frame {index} is not semi-unitary: residual {residuals[index]:.3e} "
             f"exceeds {DENSITY_MANIFOLD_ATOL:.1e}",
-            residual=float(residuals[index]),
+            residual=float(residuals[index]), frame=index,
         )
     whitened = params.chol_inv @ linalg._frame_columns(frames)
     inner = linalg._gram_logdet(whitened.reshape(params.m, -1, params.r).transpose(1, 0, 2))

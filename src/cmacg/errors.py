@@ -19,11 +19,13 @@ class DimensionMismatch(ValidationError):
 
 
 class NotOnManifold(ValidationError):
-    """A matrix is not semi-unitary within the required tolerance."""
+    """A matrix is not semi-unitary within the required tolerance; ``frame`` is its index
+    where it is one of a stack."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, frame: int | None = None):
         super().__init__(message)
         self.residual = residual
+        self.frame = frame
 
 
 class DomainError(ValidationError):

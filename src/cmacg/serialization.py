@@ -7,7 +7,9 @@ Floats are written with 17 significant digits, exactly as "%.17g" writes
 them (``_dtoa`` computes them a block at a time), which round-trips IEEE
 doubles exactly.  Reading uses numpy's C reader (``np.loadtxt``); the
 block parser decides any text that reader rejects, so the accepted grammar
-and the error messages are the block parser's.
+and the error messages are the block parser's.  A draws file may be decoded
+in pieces through a ``CsvCursor``, with the grammar and messages of a whole
+read.
 
 JSON layout: a draw is an m-by-r nesting of two-element [re, im] lists,
 row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
@@ -21,6 +23,7 @@ the sidecar alone.  Output files are written atomically and follow the umask.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -33,9 +36,6 @@ from .errors import ValidationError
 
 
 _CSV_BLOCK_CELLS = 1 << 12  # cells per step of the CSV codec: bounds its temporaries, not n
-# Characters per write: the encoded copy of a text is one slice of it, so
-# writing a large file needs no second buffer the size of the whole text.
-_WRITE_CHARS = 1 << 20
 
 
 @functools.cache
@@ -66,18 +66,35 @@ def matrix_to_csv(mat: np.ndarray) -> str:
     return _format_rows(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64))
 
 
-def _parse_csv_rows(text: str, path_hint: str) -> np.ndarray:
+class _BadLine(ValidationError):
+    """A CSV line that is not numeric, numbered from 1 within the text that held it."""
+
+    def __init__(self, path_hint: str, line: int, reason):
+        super().__init__(f"{path_hint}: line {line} is not numeric: {reason}")
+        self.line, self.reason = line, reason
+
+
+class _RaggedRows(ValidationError):
+    """CSV rows of more than one width; ``widths`` lists each width once, in order."""
+
+    def __init__(self, path_hint: str, widths):
+        self.widths = sorted(int(width) for width in widths)
+        super().__init__(f"{path_hint}: ragged rows with widths {self.widths}")
+
+
+def _parse_csv_rows(text: str, path_hint: str, lines: list | None = None) -> np.ndarray:
     """Numeric CSV, blank lines skipped, as a (rows, width) array; cells parse as float().
 
-    numpy's C reader decodes the text: it converts each cell with
-    PyOS_string_to_double, as float() does.  Text it rejects, or finds
-    empty, goes to the block parser, which decides it: float()'s values, or
-    the error naming the line.
+    numpy's C reader decodes the text (``lines`` is ``text.splitlines()``, if
+    the caller has it): it converts each cell with PyOS_string_to_double, as
+    float() does.  Text it rejects, or finds empty, goes to the block parser,
+    which decides it: float()'s values, or the error naming the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning escapes: "no data", say, is a rejection
         try:
-            return np.loadtxt(text.splitlines(), delimiter=",", comments=None, ndmin=2)
+            return np.loadtxt(text.splitlines() if lines is None else lines,
+                              delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             pass
     return _parse_csv_blocks(text, path_hint)
@@ -101,10 +118,10 @@ def _parse_csv_blocks(text: str, path_hint: str) -> np.ndarray:
                 step = 1
                 continue
             line_no = [no for no, line in enumerate(text.splitlines(), 1) if line.strip()][start]
-            raise ValidationError(f"{path_hint}: line {line_no} is not numeric: {exc}") from exc
+            raise _BadLine(path_hint, line_no, exc) from exc
         start = stop
     if np.any(widths != widths[0]):  # only once all parse: a bad cell is named first
-        raise ValidationError(f"{path_hint}: ragged rows with widths {np.unique(widths).tolist()}")
+        raise _RaggedRows(path_hint, np.unique(widths))
     return values.reshape(len(rows), widths[0])
 
 
@@ -118,31 +135,91 @@ def matrix_from_csv(text: str, path_hint: str = "matrix file") -> np.ndarray:
     return data.view(np.complex128)
 
 
-def draws_to_csv(draws: np.ndarray) -> str:
-    """Stacked draws (n, m, r) as CSV with a leading draw_index column."""
+def draws_to_csv(draws: np.ndarray, start: int = 0) -> str:
+    """Stacked draws (n, m, r) as CSV with a leading draw_index column, counted from ``start``."""
     draws = np.ascontiguousarray(draws, dtype=np.complex128)
     n, m, r = draws.shape
-    return _format_rows(draws.reshape(n * m, r).view(np.float64), np.repeat(np.arange(n), m))
+    return _format_rows(draws.reshape(n * m, r).view(np.float64),
+                        np.repeat(np.arange(start, start + n), m))
 
 
-def draws_from_csv(text: str, path_hint: str = "draws file") -> np.ndarray:
-    """Parse stacked draws back into an (n, m, r) complex array."""
-    data = _parse_csv_rows(text, path_hint)
-    width = data.shape[1]
-    if width < 3 or (width - 1) % 2 != 0:
-        raise ValidationError(
-            f"{path_hint}: expected draw_index plus (Re, Im) pairs, got {width} columns"
-        )
-    indices = data[:, 0]
-    if not np.all(indices == np.round(indices)):
+class CsvCursor:
+    """Where a draws CSV read piece by piece stands, for ``draws_from_csv``.
+
+    Each piece must end a line.  The cursor counts the lines and draws before
+    the next piece and keeps the row width and draw height the file has shown,
+    and the rows of its last draw, which the next piece may continue.  Set
+    ``last`` before the final piece is decoded.  Once rows of a second width
+    appear, the rest of the file is only parsed, so that a non-numeric line
+    anywhere is named first, and ``widths`` gathers every width for the error
+    the final piece raises.
+    """
+
+    __slots__ = ("last", "lines", "draws", "height", "rows", "widths")
+
+    def __init__(self, last: bool = True):
+        self.last = last
+        self.lines = self.draws = self.height = 0
+        self.rows = None  # the held draw's rows, (k, width)
+        self.widths = None
+
+
+def draws_from_csv(text: str, path_hint: str = "draws file",
+                   cursor: CsvCursor | None = None) -> np.ndarray:
+    """Parse stacked draws back into an (n, m, r) complex array.
+
+    Without ``cursor`` the text is the whole file.  With one it is the next
+    piece of a file: line numbers, ``draw_index`` and the width and height
+    checks count from the pieces before it, so any one fault reads as it
+    does in a whole read.  A draw that may go on into the next piece is held
+    back, and returned with that piece.
+    """
+    cursor = CsvCursor() if cursor is None else cursor
+    first_line, lines = cursor.lines, text.splitlines()
+    cursor.lines += len(lines)
+    width = None if cursor.rows is None else cursor.rows.shape[1]
+    try:
+        data = (np.empty((0, width or 0)) if not text or text.isspace()
+                else _parse_csv_rows(text, path_hint, lines))
+    except _BadLine as exc:
+        raise _BadLine(path_hint, first_line + exc.line, exc.reason) from exc.__cause__
+    except _RaggedRows as exc:
+        data, seen = None, set(exc.widths)
+    else:
+        seen = {data.shape[1]} if len(data) else set()
+    if width:
+        seen.add(width)
+    if cursor.widths is not None or len(seen) > 1:
+        cursor.widths = seen | (cursor.widths or set())
+        if cursor.last:
+            raise _RaggedRows(path_hint, cursor.widths)
+        return np.empty((0, 0, 0), np.complex128)
+    if width is None:
+        if not len(data):  # only blank lines so far
+            if cursor.last:
+                raise ValidationError(f"{path_hint}: no data rows")
+            return np.empty((0, 0, 0), np.complex128)
+        width = data.shape[1]
+        if width < 3 or (width - 1) % 2 != 0:
+            raise ValidationError(
+                f"{path_hint}: expected draw_index plus (Re, Im) pairs, got {width} columns"
+            )
+    if not np.all(data[:, 0] == np.round(data[:, 0])):
         raise ValidationError(f"{path_hint}: draw_index column is not integral")
+    if cursor.rows is not None:
+        data = np.concatenate([cursor.rows, data])
+    indices = data[:, 0]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(indices)) + 1])
-    if not np.array_equal(indices[starts], np.arange(len(starts))):
+    if not np.array_equal(indices[starts], cursor.draws + np.arange(len(starts))):
         raise ValidationError(f"{path_hint}: draw_index must run 0..n-1 in contiguous blocks")
-    heights = np.diff(np.append(starts, len(indices)))
-    if np.any(heights != heights[0]):
+    done = len(starts) if cursor.last else len(starts) - 1  # the last draw may go on
+    heights = np.diff(np.append(starts, len(indices)))[:done]
+    height = cursor.height or (int(heights[0]) if done else 0)
+    if np.any(heights != height):
         raise ValidationError(f"{path_hint}: draws have inconsistent row counts")
-    return data[:, 1:].copy().view(np.complex128).reshape(len(starts), heights[0], -1)
+    cut = len(data) if cursor.last else starts[-1]
+    cursor.rows, cursor.draws, cursor.height = data[cut:].copy(), cursor.draws + done, height
+    return data[:cut, 1:].copy().view(np.complex128).reshape(done, height, (width - 1) // 2)
 
 
 def _complex_to_pairs(a: np.ndarray) -> list:
@@ -182,9 +259,10 @@ def matrix_to_json(mat: np.ndarray) -> str:
     return dump_json({"matrix": _complex_to_pairs(mat)})
 
 
-def values_to_csv(values) -> str:
+def values_to_csv(values, start: int = 0) -> str:
+    """``index,value`` rows, the index counted from ``start``."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return _format_rows(values, np.arange(len(values)))
+    return _format_rows(values, np.arange(start, start + len(values)))
 
 
 def values_to_json(values) -> str:
@@ -200,17 +278,19 @@ def param_checksum(mat: np.ndarray) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename; the mode follows the umask.
-    An OSError names ``path``, not the temp file, which is removed."""
+@contextlib.contextmanager
+def atomic_writer(path: str):
+    """Yield ``write(text)``, which appends to a temp file in the target directory; the
+    file is renamed to ``path`` when the block ends, and removed if it raises.  The mode
+    follows the umask.  An OSError in the block or the file names ``path``, not the temp
+    file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(16).hex()}.part")
     try:
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
-                for start in range(0, len(text), _WRITE_CHARS):
-                    handle.write(text[start:start + _WRITE_CHARS])
+                yield handle.write
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
@@ -218,6 +298,36 @@ def write_atomic(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_writer``."""
+    with atomic_writer(path) as write:
+        write(text)
+
+
+@contextlib.contextmanager
+def chunk_writer(path: str, fmt: str, key: str):
+    """Yield ``write(chunk, start)``, which appends the stacked draws (``key`` "draws") or
+    values ("log_densities") of one chunk, its first counted ``start``, to ``path`` as
+    ``fmt``, "csv" or "json", through ``atomic_writer``.  Chunks written in order make the
+    bytes that ``draws_to_csv``, ``values_to_csv``, ``draws_to_json`` or ``values_to_json``
+    gives for the whole stack."""
+    with atomic_writer(path) as write:
+        if fmt == "json":
+            write(f'{{"{key}":[')
+
+        def write_chunk(chunk, start: int) -> None:
+            if fmt == "csv":
+                write((draws_to_csv if key == "draws" else values_to_csv)(chunk, start))
+                return
+            items = (_complex_to_pairs(chunk) if key == "draws"
+                     else np.asarray(chunk, dtype=np.float64).tolist())
+            write(("," if start else "") + json.dumps(items, separators=(",", ":"))[1:-1])
+
+        yield write_chunk
+        if fmt == "json":
+            write("]}\n")
 
 
 def sidecar_path(output_path: str) -> str:

@@ -203,18 +203,18 @@ def _exact_law_subtests(
     (r > 1; at r = 1 it is the first) and arg(e^H H f), uniform.
 
     The sample is whitened in place, W = L^{-1} H, so no second copy of it is alive while
-    the orientation kernel reads W's transposed view.  That kernel is called directly,
-    not through the samplers' redraw: a whitened row has nothing to redraw."""
+    the orientation kernel reads W's transposed view.  The orientations are written back
+    into the same buffer, which the caller still holds, so it is the one m x (n r) stack
+    alive while the directions are drawn.  The kernel is called directly, not through the
+    samplers' redraw: a whitened row has nothing to redraw."""
     m, n = columns.shape[0], columns.shape[1] // r
     columns[...] = chol_inv @ columns
     frames, bad = linalg._orientation_batch(columns.reshape(m, n, r).transpose(1, 0, 2))
-    del columns
     if bad.any():
         raise RankDeficient(f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
-    columns = linalg._frame_columns(frames)
+    columns.reshape(m, n, r)[...] = frames.transpose(1, 0, 2)
     del frames
     spans, entries, arg_law = _directions(columns, r, rng, count, "H")
-    del columns
     laws = []
     if m > r:
         laws.append(("||H^H e||^2", f"Beta({r}, {m - r})", _beta_cdf(spans, r, m - r)))

@@ -454,7 +454,7 @@ class TestPolarOracle:
     def test_matches_mpmath_at_condition_edge(self, m, r):
         # the error grows with a draw's condition number, so the reference is
         # taken on the 30 worst-conditioned of 20000 draws and on 30 others;
-        # square draws (m = r = 2) miss 1e-9 here, see the README
+        # square draws (m = r = 2) miss 1e-9 here; the next test holds them to kappa(Z) * eps
         rng = make_rng(10)
         normal = ComplexMatrixNormalParams(random_hpd(rng, m, 1e10), r)
         z = sample_complex_matrix_normal_batch(normal, 20000, rng)
@@ -464,6 +464,23 @@ class TestPolarOracle:
         picked = np.concatenate([order[-30:], rng.choice(order[:-30], 30, replace=False)])
         worst = max(np.abs(frames[i] - mp_polar_factor(z[i])).max() for i in picked)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("seed", [10, 15])
+    def test_square_draws_within_their_condition_number(self, seed):
+        # m = r = 2: the bound is kappa(Z) * eps, kappa = sigma_max / sigma_min of the draw;
+        # seed 15 holds the worst absolute error seen, 4.2e-9 at kappa 1.3e8
+        rng = make_rng(seed)
+        normal = ComplexMatrixNormalParams(random_hpd(rng, 2, 1e10), 2)
+        z = sample_complex_matrix_normal_batch(normal, 20000, rng)
+        frames = dist._orient_with_retry(z, lambda k: pytest.fail(f"{k} draws redrawn"))
+        singular = np.linalg.svd(z, compute_uv=False)
+        kappa = singular[:, 0] / singular[:, -1]
+        order = np.argsort(kappa)
+        picked = np.concatenate([order[-30:], rng.choice(order[:-30], 30, replace=False)])
+        eps = np.finfo(float).eps
+        ratios = [np.abs(frames[i] - mp_polar_factor(z[i])).max() / (kappa[i] * eps)
+                  for i in picked]
+        assert kappa.max() > 1e7 and max(ratios) <= 1.0
 
 
 class TestProjectionMatrix:

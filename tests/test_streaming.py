@@ -1,0 +1,301 @@
+"""``sample`` and ``density`` stream in fixed-size chunks: the same bytes as one whole
+batch, memory flat in n, and every fault in a later chunk read as in a whole file."""
+
+import json
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import cmacg.cli as cli
+import cmacg.serialization as ser
+import cmacg.verify as verify
+from cmacg import (
+    CmacgParams, cmacg_log_density_batch, hermitian_part, make_rng, sample_cmacg_batch,
+)
+from conftest import random_hpd
+
+SHAPES = [(3, 1), (3, 2), (6, 3), (12, 4)]
+
+
+def around(size):
+    return [1, size - 1, size, size + 1, 2 * size + 3]
+
+
+def write_param(tmp_path, m):
+    path = tmp_path / "P.csv"
+    path.write_text(ser.matrix_to_csv(random_hpd(np.random.default_rng(m), m)))
+    return str(path)
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def outputs(tmp_path):
+    return sorted(os.listdir(tmp_path))
+
+
+class TestSampleChunks:
+    @pytest.mark.parametrize("m, r", SHAPES)
+    def test_each_format_equals_the_whole_batch(self, tmp_path, m, r):
+        # JSON and projections of wide draws encode slowly: beyond m = 3, one size only
+        param = write_param(tmp_path, m)
+        params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
+        out = str(tmp_path / "out")
+        for n in around(cli.SAMPLE_CHUNK):
+            whole = sample_cmacg_batch(params, n, make_rng(n))
+            cases = [([], ser.draws_to_csv)]
+            if m == 3 or n == cli.SAMPLE_CHUNK + 1:
+                projections = hermitian_part(whole @ np.swapaxes(whole.conj(), 1, 2))
+                cases += [(["--format", "json"], ser.draws_to_json),
+                          (["--as-projection"], lambda _: ser.draws_to_csv(projections))]
+            if m == 3:
+                cases.append((["--as-projection", "--format", "json"],
+                              lambda _: ser.draws_to_json(projections)))
+            for flags, encode in cases:
+                assert cli.main(["sample", "--param", param, "--r", str(r), "--n", str(n),
+                                 "--seed", str(n), "--out", out, *flags]) == 0
+                assert read_bytes(out) == encode(whole).encode("ascii"), (n, flags)
+
+
+class TestDensityChunks:
+    @pytest.mark.parametrize("m, r", SHAPES)
+    def test_csv_and_json_equal_the_whole_batch(self, tmp_path, m, r):
+        param = write_param(tmp_path, m)
+        params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
+        frames_csv, frames_json, out = (str(tmp_path / name)
+                                        for name in ("frames.csv", "frames.json", "out"))
+        for n in around(cli.DENSITY_BATCH):
+            frames = sample_cmacg_batch(params, n, make_rng(n))
+            values = cmacg_log_density_batch(params, frames)
+            cases = [(frames_csv, ser.draws_to_csv, "csv", ser.values_to_csv)]
+            if m == 3 or n == cli.DENSITY_BATCH + 1:  # as for sample
+                cases.append((frames_json, ser.draws_to_json, "json", ser.values_to_json))
+            for path, write, fmt, encode in cases:
+                with open(path, "w") as handle:
+                    handle.write(write(frames))
+                assert cli.main(["density", "--param", param, "--input", path,
+                                 "--format", fmt, "--out", out]) == 0
+                assert read_bytes(out) == encode(values).encode("ascii"), (n, fmt)
+                assert json.load(open(out + ".meta.json"))["n"] == n
+
+    @pytest.mark.parametrize("piece_bytes", [64, 1000, 4096])
+    def test_small_pieces_give_the_same_bytes(self, tmp_path, monkeypatch, piece_bytes):
+        # pieces far shorter than a draw, and blank, CRLF and form-feed lines across them
+        monkeypatch.setattr(cli, "READ_BYTES", piece_bytes)
+        param = write_param(tmp_path, 3)
+        params = CmacgParams(ser.matrix_from_csv(open(param).read()), 2)
+        frames = sample_cmacg_batch(params, 300, make_rng(1))
+        lines = ser.draws_to_csv(frames).splitlines()
+        text = "".join(line + ("\r\n", "\n\n \t\n", "\x0c", "\n")[k % 4]
+                       for k, line in enumerate(lines))
+        path, out = str(tmp_path / "frames.csv"), str(tmp_path / "out")
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        assert cli.main(["density", "--param", param, "--input", path, "--out", out]) == 0
+        expected = ser.values_to_csv(cmacg_log_density_batch(params, frames))
+        assert read_bytes(out) == expected.encode("ascii")
+
+    def test_batches_are_exact_and_the_last_is_never_one_column(self):
+        size = 4
+        for count in range(1, 30):
+            chunks = np.array_split(np.arange(count), [3, 4, 11, 12, 12, 25])
+            sizes = [len(batch) for batch in cli._batches(chunks, size)]
+            assert sum(sizes) == count
+            assert all(s == size for s in sizes[:-1])
+            assert sizes[-1] == count if count < 2 * size else size <= sizes[-1] < 2 * size
+
+
+class TestReadPieces:
+    @pytest.mark.parametrize("text", [
+        "0,1,2\r\n0,3,4\r\n1,5,6\r\n1,7,8",
+        "a" * 50 + "\n" + "b" * 7 + "\n\n",
+        "١, x\n" * 9,
+    ])
+    def test_pieces_end_lines_and_join_to_the_file(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(cli, "READ_BYTES", 8)
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        pieces = list(cli._read_pieces(str(path)))
+        assert "".join(piece for piece, _ in pieces) == text
+        assert [last for _, last in pieces] == [False] * (len(pieces) - 1) + [True]
+        assert all(piece.endswith("\n") for piece, _ in pieces[:-1])
+
+    def test_undecodable_byte_is_named_by_its_place_in_the_file(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setattr(cli, "READ_BYTES", 64)
+        param = write_param(tmp_path, 2)
+        path = tmp_path / "frames.csv"
+        body = ser.draws_to_csv(sample_cmacg_batch(CmacgParams(np.eye(2), 1), 40, make_rng(0)))
+        for bad in (b"\xff", b"\xe2\x82"):
+            path.write_bytes(body.encode() + bad + b",0,0\n")
+            with pytest.raises(UnicodeDecodeError) as whole:
+                path.read_text(encoding="utf-8")
+            code = cli.main(["density", "--param", param, "--input", str(path),
+                             "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
+
+
+def stack_lines(n):
+    """The lines of a CSV of n draws of CMACG(diag(3, 2, 1)) at r = 2."""
+    frames = sample_cmacg_batch(CmacgParams(np.diag([3.0, 2.0, 1.0]), 2), n, make_rng(3))
+    return ser.draws_to_csv(frames).splitlines(keepends=True)
+
+
+class TestLaterChunkFaults:
+    N = 12000  # the last draws sit beyond 3 MiB: pieces and batches past the first
+    LATE = 3 * 11000 + 1  # 0-based line of draw 11000's second row
+
+    def cell_fault(self, lines):
+        lines[self.LATE] = lines[self.LATE].replace(",", ",abc", 1)
+        return f"line {self.LATE + 1} is not numeric: could not convert string to float: 'abc"
+
+    def gap_fault(self, lines):
+        for k in range(3 * 11000, len(lines)):
+            index, rest = lines[k].split(",", 1)
+            lines[k] = f"{int(index) + 1},{rest}"
+        return "draw_index must run 0..n-1 in contiguous blocks"
+
+    def manifold_fault(self, lines):
+        index, _, rest = lines[self.LATE].split(",", 2)
+        lines[self.LATE] = f"{index},1.5,{rest}"
+        return "frame 11000 is not semi-unitary: residual "
+
+    def ragged_fault(self, lines):
+        lines[self.LATE] = lines[self.LATE].rstrip("\n") + ",0,0\n"
+        return "ragged rows with widths [5, 7]"
+
+    def height_fault(self, lines):
+        del lines[self.LATE]
+        return "draws have inconsistent row counts"
+
+    def blank_lines_then_cell_fault(self, lines):
+        lines[5:5] = ["\n", "  \t\n", "\r\n"]
+        lines[self.LATE + 3] = lines[self.LATE + 3].replace(",", ",abc", 1)
+        return f"line {self.LATE + 4} is not numeric: could not convert string to float: 'abc"
+
+    FAULTS = ["cell_fault", "gap_fault", "manifold_fault", "ragged_fault", "height_fault",
+              "blank_lines_then_cell_fault"]
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return stack_lines(self.N)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_whole_file_message_and_nothing_written(self, tmp_path, capsys, stack, fault,
+                                                    existing):
+        param = str(tmp_path / "P.csv")
+        with open(param, "w") as handle:
+            handle.write(ser.matrix_to_csv(np.diag([3.0, 2.0, 1.0])))
+        lines = list(stack)
+        message = getattr(self, fault)(lines)
+        path, out = tmp_path / "frames.csv", tmp_path / "dens.csv"
+        path.write_bytes("".join(lines).encode("ascii"))
+        assert path.stat().st_size > 3 * cli.READ_BYTES
+        if existing:
+            out.write_bytes(b"old bytes\n")
+        before = outputs(tmp_path)
+        code = cli.main(["density", "--param", param, "--input", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        prefix = "error: " if fault == "manifold_fault" else f"error: {path}: "
+        assert err.startswith(prefix + message), err
+        assert outputs(tmp_path) == before
+        if existing:
+            assert out.read_bytes() == b"old bytes\n"
+        if fault != "manifold_fault":  # the whole-text decoder reads the same fault alike
+            with pytest.raises(ValueError) as whole:
+                ser.draws_from_csv("".join(lines), str(path))
+            assert err == f"error: {whole.value}\n"
+
+    def test_dimension_mismatch_names_the_first_batch(self, tmp_path, capsys, stack):
+        # the one message whose n is not the file's: a batch's, DENSITY_BATCH draws here
+        param = str(tmp_path / "P.csv")
+        with open(param, "w") as handle:
+            handle.write(ser.matrix_to_csv(np.eye(4)))
+        path = tmp_path / "frames.csv"
+        path.write_text("".join(stack))
+        code = cli.main(["density", "--param", param, "--input", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: expected frames shaped (n, 4, 2), got ({cli.DENSITY_BATCH}, 3, 2)\n")
+
+    def test_later_chunk_fault_in_sample_leaves_existing_out(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fail_on_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return sample_cmacg_batch(*args)
+
+        monkeypatch.setattr(cli, "sample_cmacg_batch", fail_on_third)
+        out = tmp_path / "draws.csv"
+        out.write_bytes(b"old bytes\n")
+        code = cli.main(["sample", "--uniform", "--m", "3", "--r", "2",
+                         "--n", str(3 * cli.SAMPLE_CHUNK), "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"old bytes\n"
+        assert outputs(tmp_path) == ["draws.csv"]
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def peak(argv):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    def test_peak_is_flat_from_20k_to_200k_draws(self, tmp_path):
+        param = write_param(tmp_path, 3)
+        draws, dens = str(tmp_path / "draws.csv"), str(tmp_path / "dens.csv")
+
+        def sample(n):
+            return ["sample", "--param", param, "--r", "2", "--n", str(n), "--seed", "1",
+                    "--out", draws]
+
+        density = ["density", "--param", param, "--input", draws, "--out", dens]
+        tracemalloc.start()
+        try:
+            cli.main(sample(100))  # first calls build caches; they are not per-run memory
+            cli.main(density)
+            small = self.peak(sample(20000)), self.peak(density)
+            large = self.peak(sample(200000)), self.peak(density)
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(draws) > 40 * cli.READ_BYTES
+        for command, low, high in zip(("sample", "density"), small, large):
+            assert high <= 1.05 * low, (command, low, high)
+
+
+class TestVerifyReleasesTheSample:
+    @pytest.mark.parametrize("check", ["unitary_invariance", "corollary", "general_class"])
+    def test_one_sample_stack_alive_while_directions_are_drawn(self, monkeypatch, check):
+        m, r, n = 3, 2, 20000
+        stack = m * n * r * 16
+        params = CmacgParams(np.diag([3.0, 2.0, 1.0]), r)
+        alive = []
+        directions = verify._directions
+
+        def spy(columns, *args):
+            if columns.shape == (m, n * r):  # the exact-law stage, not normal_covariance's
+                alive.append(tracemalloc.get_traced_memory()[0] - base)
+            return directions(columns, *args)
+
+        monkeypatch.setattr(verify, "_directions", spy)
+        verify._run_check(check, params, n // 2, 0, verify.DEFAULT_LEVEL)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify._run_check(check, params, n, 0, verify.DEFAULT_LEVEL)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 1
+        assert stack <= alive[0] < 1.5 * stack
