@@ -9,7 +9,8 @@ configuration error, 3 numerical failure.
 
 ``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
 a fixed size and write each chunk's text as it is made, so their memory is
-bounded by a chunk, not by the number of draws.
+bounded by a chunk, not by the number of draws.  Every input file is opened
+and decoded by ``serialization``, not here.
 
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
@@ -49,13 +50,11 @@ SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
 # bit for bit: the normal draw keeps no state between calls, and the factor
 # product and the orientation act draw by draw.
 SAMPLE_CHUNK = 4096
-# Bytes per read of a ``density`` CSV input, and draws per density evaluation.
-# Every evaluation but the last takes exactly DENSITY_BATCH draws, and the last
-# starts at a multiple of it: the density's bits depend on the batch (its
-# whitening GEMM takes an edge kernel for the last n r mod 4 columns, and numpy
-# hands a single column to gemv), so fixed batches keep them whatever the
-# pieces hold.
-READ_BYTES = 1 << 20
+# Draws per density evaluation.  Every evaluation but the last takes exactly
+# DENSITY_BATCH draws, and the last starts at a multiple of it: the density's
+# bits depend on the batch (its whitening GEMM takes an edge kernel for the last
+# n r mod 4 columns, and numpy hands a single column to gemv), so fixed batches
+# keep them whatever the pieces of the input hold.
 DENSITY_BATCH = 2048
 
 
@@ -78,42 +77,6 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_pieces(path: str):
-    """The text of a file in pieces of about ``READ_BYTES``, each but the last ending at a
-    line feed, with whether it is the last.  An undecodable byte is named by its
-    position in the file, as a whole read names it."""
-    try:
-        with open(path, "rb") as handle:
-            head, block, done = b"", handle.read(READ_BYTES), 0
-            while True:
-                following = handle.read(READ_BYTES) if block else b""
-                data = head + block
-                cut = data.rfind(b"\n") + 1 if following else len(data)
-                if cut or not following:
-                    try:
-                        text = data[:cut].decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        first, last = done + exc.start, done + exc.end - 1
-                        where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}"
-                                 if first == last else f"bytes in position {first}-{last}")
-                        raise ValidationError(f"cannot read {path}: '{exc.encoding}' codec "
-                                              f"can't decode {where}: {exc.reason}") from exc
-                    yield text, not following
-                if not following:
-                    return
-                head, block, done = data[cut:], following, done + cut
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_param(args) -> HermitianPD:
     if getattr(args, "uniform", False):
         if args.param is not None:
@@ -123,7 +86,7 @@ def _load_param(args) -> HermitianPD:
         return HermitianPD(np.eye(args.m, dtype=np.complex128))
     if args.param is None:
         raise ValidationError("a parameter matrix is required: pass --param or --uniform")
-    mat = ser.matrix_from_csv(_read_text(args.param), path_hint=args.param)
+    mat = ser.matrix_from_csv(ser.read_text(args.param), path_hint=args.param)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(
             f"{args.param}: parameter matrix must be square, got {mat.shape[0]}x{mat.shape[1]}"
@@ -134,17 +97,6 @@ def _load_param(args) -> HermitianPD:
             f"--m {args.m} does not match parameter matrix dimension {param.dim}"
         )
     return param
-
-
-def _load_frames(path: str, fmt: str):
-    """The frames of a ``density`` input: a CSV file decoded a piece at a time, each
-    piece's draws as one array; a JSON document read and decoded whole."""
-    if fmt == "json":
-        yield ser.draws_from_json(_read_text(path), path_hint=path)
-        return
-    cursor = ser.CsvCursor(last=False)
-    for text, cursor.last in _read_pieces(path):
-        yield ser.draws_from_csv(text, path, cursor)
 
 
 def _batches(chunks, size: int):
@@ -203,7 +155,7 @@ def cmd_density(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
     param = _load_param(args)
-    frames = _load_frames(args.input, args.format)
+    frames = ser.read_draws(args.input, args.format)
     params, n = None, 0
     with ser.chunk_writer(args.out, args.format, "log_densities") as write:
         for batch in _batches(frames, DENSITY_BATCH):
@@ -269,7 +221,7 @@ def cmd_verify(args) -> int:
 def cmd_sqrt(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
-    mat = ser.matrix_from_csv(_read_text(args.input), path_hint=args.input)
+    mat = ser.matrix_from_csv(ser.read_text(args.input), path_hint=args.input)
     hpd = HermitianPD(mat, name=f"matrix from {args.input}")
     root = hermitian_sqrt_newton(hpd, tol=args.tol, max_iter=args.max_iter)
     residual = float(np.abs(root.mat @ root.mat - hpd.mat).max())

@@ -222,8 +222,8 @@ def hermitian_sqrt_newton(
         If the residual is still above tolerance after ``max_iter`` steps;
         the exception carries the final residual.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # false for NaN as well
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     target_mat = a.mat

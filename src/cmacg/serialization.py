@@ -11,6 +11,11 @@ and the error messages are the block parser's.  A draws file may be decoded
 in pieces through a ``CsvCursor``, with the grammar and messages of a whole
 read.
 
+Every input file is read here, by one reader: ``READ_BYTES`` and the rest of
+the line at a time, decoded as UTF-8.  ``read_draws`` decodes a draws file
+piece by piece; ``read_text`` joins the pieces of a parameter, ``sqrt`` or
+JSON input.
+
 JSON layout: a draw is an m-by-r nesting of two-element [re, im] lists,
 row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
 {"matrix": [...]}.
@@ -36,6 +41,7 @@ from .errors import ValidationError
 
 
 _CSV_BLOCK_CELLS = 1 << 12  # cells per step of the CSV codec: bounds its temporaries, not n
+READ_BYTES = 1 << 20  # bytes per piece of an input file, before the rest of the piece's line
 
 
 @functools.cache
@@ -146,19 +152,17 @@ def draws_to_csv(draws: np.ndarray, start: int = 0) -> str:
 class CsvCursor:
     """Where a draws CSV read piece by piece stands, for ``draws_from_csv``.
 
-    Each piece must end a line.  The cursor counts the lines and draws before
-    the next piece and keeps the row width and draw height the file has shown,
-    and the rows of its last draw, which the next piece may continue.  Set
-    ``last`` before the final piece is decoded.  Once rows of a second width
-    appear, the rest of the file is only parsed, so that a non-numeric line
-    anywhere is named first, and ``widths`` gathers every width for the error
-    the final piece raises.
+    Each piece must end a line, and an empty piece ends the file.  The cursor
+    counts the lines and draws before the next piece and keeps the row width
+    and draw height the file has shown, and the rows of its last draw, which
+    the next piece may continue.  Once rows of a second width appear, the rest
+    of the file is only parsed, so that a non-numeric line anywhere is named
+    first, and ``widths`` gathers every width for the error the end raises.
     """
 
-    __slots__ = ("last", "lines", "draws", "height", "rows", "widths")
+    __slots__ = ("lines", "draws", "height", "rows", "widths")
 
-    def __init__(self, last: bool = True):
-        self.last = last
+    def __init__(self):
         self.lines = self.draws = self.height = 0
         self.rows = None  # the held draw's rows, (k, width)
         self.widths = None
@@ -169,11 +173,13 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
     """Parse stacked draws back into an (n, m, r) complex array.
 
     Without ``cursor`` the text is the whole file.  With one it is the next
-    piece of a file: line numbers, ``draw_index`` and the width and height
-    checks count from the pieces before it, so any one fault reads as it
-    does in a whole read.  A draw that may go on into the next piece is held
-    back, and returned with that piece.
+    piece of a file, and an empty piece is its end: line numbers,
+    ``draw_index`` and the width and height checks count from the pieces
+    before it, so any one fault reads as it does in a whole read.  A draw
+    that may go on into the next piece is held back, and returned with that
+    piece or the end.
     """
+    last = cursor is None or not text
     cursor = CsvCursor() if cursor is None else cursor
     first_line, lines = cursor.lines, text.splitlines()
     cursor.lines += len(lines)
@@ -191,12 +197,12 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
         seen.add(width)
     if cursor.widths is not None or len(seen) > 1:
         cursor.widths = seen | (cursor.widths or set())
-        if cursor.last:
+        if last:
             raise _RaggedRows(path_hint, cursor.widths)
         return np.empty((0, 0, 0), np.complex128)
     if width is None:
         if not len(data):  # only blank lines so far
-            if cursor.last:
+            if last:
                 raise ValidationError(f"{path_hint}: no data rows")
             return np.empty((0, 0, 0), np.complex128)
         width = data.shape[1]
@@ -212,12 +218,12 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
     starts = np.concatenate([[0], np.flatnonzero(np.diff(indices)) + 1])
     if not np.array_equal(indices[starts], cursor.draws + np.arange(len(starts))):
         raise ValidationError(f"{path_hint}: draw_index must run 0..n-1 in contiguous blocks")
-    done = len(starts) if cursor.last else len(starts) - 1  # the last draw may go on
+    done = len(starts) if last else len(starts) - 1  # the last draw may go on
     heights = np.diff(np.append(starts, len(indices)))[:done]
     height = cursor.height or (int(heights[0]) if done else 0)
     if np.any(heights != height):
         raise ValidationError(f"{path_hint}: draws have inconsistent row counts")
-    cut = len(data) if cursor.last else starts[-1]
+    cut = len(data) if last else starts[-1]
     cursor.rows, cursor.draws, cursor.height = data[cut:].copy(), cursor.draws + done, height
     return data[:cut, 1:].copy().view(np.complex128).reshape(done, height, (width - 1) // 2)
 
@@ -253,6 +259,45 @@ def draws_from_json(text: str, path_hint: str = "draws file") -> np.ndarray:
             f"{path_hint}: expected draws of rows of [re, im] pairs, got shape {arr.shape}"
         )
     return arr.view(np.complex128)[..., 0]
+
+
+def _read_pieces(path: str):
+    """The text of a file in pieces, each ``READ_BYTES`` and the rest of the line they end
+    in, so that each but the last ends with a line feed.  An undecodable byte is named by
+    its position in the file, as a whole read names it."""
+    try:
+        with open(path, "rb") as handle:
+            done = 0
+            while data := handle.read(READ_BYTES) + handle.readline():
+                try:
+                    text = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    first, last = done + exc.start, done + exc.end - 1
+                    where = (f"byte 0x{data[exc.start]:02x} in position {first}"
+                             if first == last else f"bytes in position {first}-{last}")
+                    raise ValidationError(f"cannot read {path}: '{exc.encoding}' codec "
+                                          f"can't decode {where}: {exc.reason}") from exc
+                yield text
+                done += len(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The whole text of a file: a parameter, ``sqrt`` or JSON input."""
+    return "".join(_read_pieces(path))
+
+
+def read_draws(path: str, fmt: str):
+    """The draws of a ``density`` input, as arrays: a CSV file decoded a piece at a time,
+    each piece's draws as one array, then its end; a JSON document read and decoded whole."""
+    if fmt == "json":
+        yield draws_from_json(read_text(path), path_hint=path)
+        return
+    cursor = CsvCursor()
+    for text in _read_pieces(path):
+        yield draws_from_csv(text, path, cursor)
+    yield draws_from_csv("", path, cursor)
 
 
 def matrix_to_json(mat: np.ndarray) -> str:

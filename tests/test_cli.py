@@ -454,9 +454,13 @@ class TestInputErrors:
             (["density", "--uniform", "--m", "2", "--r", "2", "--input", "{frames}"],
              "--r 2 does not match frames of width 1"),
             (["verify", "--checks", ","], "--checks is empty"),
+            (["sqrt", "--input", "{param}", "--tol", "nan"],
+             "tol must be positive and finite, got nan"),
+            (["sqrt", "--input", "{param}", "--tol", "inf"],
+             "tol must be positive and finite, got inf"),
         ],
         ids=["uniform-and-param", "uniform-without-m", "non-square", "sample-n-0",
-             "density-r-mismatch", "verify-empty-checks"],
+             "density-r-mismatch", "verify-empty-checks", "sqrt-tol-nan", "sqrt-tol-inf"],
     )
     def test_exits_two_with_message_and_writes_nothing(
             self, tmp_path, param_csv, capsys, argv, message):
@@ -496,6 +500,55 @@ class TestInputErrors:
         assert capsys.readouterr().err.endswith(f"] {reason}: {str(out)!r}\n")
         left = [name for _, _, names in os.walk(tmp_path) for name in names]
         assert left == []
+
+
+class TestLineEndings:
+    """Inputs are decoded from their bytes: CR and CRLF lines read as line-feed lines."""
+
+    @pytest.mark.parametrize("newline, line_column, char", [
+        ("\r\n", "line 4 column 2", 52),
+        ("\r", "line 1 column 50", 49),
+    ], ids=["crlf", "lone-cr"])
+    def test_json_syntax_error_names_its_place_in_the_file(
+            self, tmp_path, param_csv, capsys, newline, line_column, char):
+        # json counts characters of the file as it is, CRs included, and lines at line
+        # feeds only; 0.8.0 read JSON in text mode and said "line 4 column 2 (char 49)"
+        text = '{"draws":\n[[[[1,0]],[[0,0]]],\n[[[0,1]],[[0,0]]]\n,]}\n'
+        path, out = tmp_path / "d.json", tmp_path / "out"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        code = cli.main(["density", "--param", param_csv, "--input", str(path),
+                         "--format", "json", "--out", str(out)])
+        assert code == 2
+        assert path.read_bytes().index(b",]") + 1 == char  # the "]" where a value should be
+        assert capsys.readouterr().err == (f"error: {path}: not a draws JSON document: "
+                                           f"Expecting value: {line_column} (char {char})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_parameter_and_sqrt_inputs_read_as_line_feed_files(
+            self, tmp_path, capsys, newline):
+        text = ser.matrix_to_csv(np.array([[4.0, 1 + 1j], [1 - 1j, 3.0]]))
+        bad = "\n" + text.replace(",", ",x", 1)  # a blank line, then a bad cell on line 2
+        for name, body in (("lf", text), ("other", text.replace("\n", newline)),
+                           ("lf-bad", bad), ("other-bad", bad.replace("\n", newline))):
+            (tmp_path / f"{name}.csv").write_bytes(body.encode("ascii"))
+        for name in ("lf", "other"):
+            assert cli.main(["sqrt", "--input", str(tmp_path / f"{name}.csv"),
+                             "--out", str(tmp_path / f"{name}.root")]) == 0
+            assert cli.main(["sample", "--param", str(tmp_path / f"{name}.csv"), "--r", "1",
+                             "--n", "3", "--out", str(tmp_path / f"{name}.draws")]) == 0
+        for suffix in ("root", "draws"):
+            assert (tmp_path / f"other.{suffix}").read_bytes() == (
+                tmp_path / f"lf.{suffix}").read_bytes()
+        for argv in (["sqrt", "--input", "{}", "--out", "o"],
+                     ["sample", "--param", "{}", "--r", "1", "--n", "3", "--out", "o"]):
+            errors = []
+            for name in ("lf-bad", "other-bad"):
+                path = str(tmp_path / f"{name}.csv")
+                assert cli.main([arg.format(path) for arg in argv]) == 2
+                errors.append(capsys.readouterr().err.replace(path, "FILE"))
+            assert errors[0] == errors[1]
+            assert errors[0].startswith("error: FILE: line 2 is not numeric: ")
 
 
 class TestEntryPoints:

@@ -123,6 +123,13 @@ class TestSqrtNewton:
         with pytest.raises(ValidationError):
             hermitian_sqrt_newton(HermitianPD(np.eye(2)), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, tol):
+        # NaN passes a plain "tol <= 0" check and stops no iteration; inf accepts any root
+        a = HermitianPD(np.array([[400.0, 1.0], [1.0, 0.01]]))
+        with pytest.raises(ValidationError, match=f"^tol must be positive and finite, got {tol}$"):
+            hermitian_sqrt_newton(a, tol=tol, max_iter=1)
+
     def test_polish_converges_at_condition_1e8(self, monkeypatch):
         # the coupled iteration stalls above the default tolerance on this input;
         # the Newton correction steps against the original matrix bring it below

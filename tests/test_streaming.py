@@ -3,6 +3,7 @@ batch, memory flat in n, and every fault in a later chunk read as in a whole fil
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,7 +86,7 @@ class TestDensityChunks:
     @pytest.mark.parametrize("piece_bytes", [64, 1000, 4096])
     def test_small_pieces_give_the_same_bytes(self, tmp_path, monkeypatch, piece_bytes):
         # pieces far shorter than a draw, and blank, CRLF and form-feed lines across them
-        monkeypatch.setattr(cli, "READ_BYTES", piece_bytes)
+        monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
         param = write_param(tmp_path, 3)
         params = CmacgParams(ser.matrix_from_csv(open(param).read()), 2)
         frames = sample_cmacg_batch(params, 300, make_rng(1))
@@ -96,6 +97,23 @@ class TestDensityChunks:
         with open(path, "w", newline="") as handle:
             handle.write(text)
         assert cli.main(["density", "--param", param, "--input", path, "--out", out]) == 0
+        expected = ser.values_to_csv(cmacg_log_density_batch(params, frames))
+        assert read_bytes(out) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("piece_bytes, tail", [(1, "\n"), (40, "\n"), (1, ""), (4096, "")],
+                             ids=["line-pieces", "lines-longer-than-a-piece",
+                                  "line-pieces-no-final-line-feed", "no-final-line-feed"])
+    def test_line_pieces_long_lines_and_an_open_last_line_give_the_same_bytes(
+            self, tmp_path, monkeypatch, piece_bytes, tail):
+        # a piece is READ_BYTES and the rest of its line: one line at 1 byte, and each
+        # line of about 90 bytes runs past 40
+        monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
+        param = write_param(tmp_path, 3)
+        params = CmacgParams(ser.matrix_from_csv(open(param).read()), 2)
+        frames = sample_cmacg_batch(params, 300, make_rng(2))
+        path, out = tmp_path / "frames.csv", str(tmp_path / "out")
+        path.write_bytes((ser.draws_to_csv(frames)[:-1] + tail).encode("ascii"))
+        assert cli.main(["density", "--param", param, "--input", str(path), "--out", out]) == 0
         expected = ser.values_to_csv(cmacg_log_density_batch(params, frames))
         assert read_bytes(out) == expected.encode("ascii")
 
@@ -116,17 +134,23 @@ class TestReadPieces:
         "١, x\n" * 9,
     ])
     def test_pieces_end_lines_and_join_to_the_file(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(cli, "READ_BYTES", 8)
+        monkeypatch.setattr(ser, "READ_BYTES", 8)
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
-        pieces = list(cli._read_pieces(str(path)))
-        assert "".join(piece for piece, _ in pieces) == text
-        assert [last for _, last in pieces] == [False] * (len(pieces) - 1) + [True]
-        assert all(piece.endswith("\n") for piece, _ in pieces[:-1])
+        pieces = list(ser._read_pieces(str(path)))
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+
+    def test_one_byte_pieces_are_the_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ser, "READ_BYTES", 1)
+        text = "0,1,2\r\n0,3,4\n1,5,6\n1,7,8"
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert list(ser._read_pieces(str(path))) == text.splitlines(keepends=True)
 
     def test_undecodable_byte_is_named_by_its_place_in_the_file(self, tmp_path, monkeypatch,
                                                                  capsys):
-        monkeypatch.setattr(cli, "READ_BYTES", 64)
+        monkeypatch.setattr(ser, "READ_BYTES", 64)
         param = write_param(tmp_path, 2)
         path = tmp_path / "frames.csv"
         body = ser.draws_to_csv(sample_cmacg_batch(CmacgParams(np.eye(2), 1), 40, make_rng(0)))
@@ -138,6 +162,43 @@ class TestReadPieces:
                              "--out", str(tmp_path / "out")])
             assert code == 2
             assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
+
+
+class TestEndPiece:
+    """An empty piece ends a draws file read in pieces: it returns the held draw, or
+    raises the error that needs the whole file."""
+
+    def test_end_returns_the_held_draw(self):
+        draws = (np.arange(12.0) * (1 - 2j)).reshape(3, 2, 2)
+        lines = ser.draws_to_csv(draws).splitlines(keepends=True)
+        cursor = ser.CsvCursor()
+        got = [ser.draws_from_csv("".join(lines[:3]), "f", cursor),
+               ser.draws_from_csv("".join(lines[3:]), "f", cursor)]
+        assert [len(part) for part in got] == [1, 1]  # draw 2 may go on
+        end = ser.draws_from_csv("", "f", cursor)
+        np.testing.assert_array_equal(end, draws[2:])
+        np.testing.assert_array_equal(np.concatenate(got + [end]), ser.draws_from_csv(
+            "".join(lines), "f"))
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n"], ids=["empty", "lf", "blank"])
+    def test_blank_file_has_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "frames.csv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
+            list(ser.read_draws(str(path), "csv"))
+
+    def test_end_lists_every_width_of_a_ragged_file(self, tmp_path, monkeypatch):
+        # widths 5, 7 and 3, each in its own piece
+        monkeypatch.setattr(ser, "READ_BYTES", 1)
+        text = "0,1,2,3,4\n0,1,2,3,4\n1,1,2,3,4,5,6\n2,1,2\n"
+        path = tmp_path / "frames.csv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError) as whole:
+            ser.draws_from_csv(text, str(path))
+        assert str(whole.value) == f"{path}: ragged rows with widths [3, 5, 7]"
+        with pytest.raises(ValueError) as pieces:
+            list(ser.read_draws(str(path), "csv"))
+        assert str(pieces.value) == str(whole.value)
 
 
 def stack_lines(n):
@@ -196,7 +257,7 @@ class TestLaterChunkFaults:
         message = getattr(self, fault)(lines)
         path, out = tmp_path / "frames.csv", tmp_path / "dens.csv"
         path.write_bytes("".join(lines).encode("ascii"))
-        assert path.stat().st_size > 3 * cli.READ_BYTES
+        assert path.stat().st_size > 3 * ser.READ_BYTES
         if existing:
             out.write_bytes(b"old bytes\n")
         before = outputs(tmp_path)
@@ -270,7 +331,7 @@ class TestBoundedMemory:
             large = self.peak(sample(200000)), self.peak(density)
         finally:
             tracemalloc.stop()
-        assert os.path.getsize(draws) > 40 * cli.READ_BYTES
+        assert os.path.getsize(draws) > 40 * ser.READ_BYTES
         for command, low, high in zip(("sample", "density"), small, large):
             assert high <= 1.05 * low, (command, low, high)
 
