@@ -9,8 +9,10 @@ configuration error, 3 numerical failure.
 
 ``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
 a fixed size and write each chunk's text as it is made, so their memory is
-bounded by a chunk, not by the number of draws.  Every input file is opened
-and decoded by ``serialization``, not here.
+bounded by a chunk, not by the number of draws.  ``verify`` holds each
+check's sample, one stack of n draws, and works through it a block of
+``BLOCK_DRAWS`` draws at a time.  Every input file is opened and decoded by
+``serialization``, not here.
 
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
@@ -31,6 +33,7 @@ import numpy as np
 from . import __version__, serialization as ser
 from .distributions import (
     CmacgParams,
+    blocks,
     cmacg_log_density_batch,
     make_rng,
     sample_cmacg_batch,
@@ -50,12 +53,6 @@ SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
 # bit for bit: the normal draw keeps no state between calls, and the factor
 # product and the orientation act draw by draw.
 SAMPLE_CHUNK = 4096
-# Draws per density evaluation.  Every evaluation but the last takes exactly
-# DENSITY_BATCH draws, and the last starts at a multiple of it: the density's
-# bits depend on the batch (its whitening GEMM takes an edge kernel for the last
-# n r mod 4 columns, and numpy hands a single column to gemv), so fixed batches
-# keep them whatever the pieces of the input hold.
-DENSITY_BATCH = 2048
 
 
 def run_suite(*args, **kwargs):
@@ -99,23 +96,19 @@ def _load_param(args) -> HermitianPD:
     return param
 
 
-def _batches(chunks, size: int):
-    """The draws of a stream of arrays, regrouped into arrays of exactly ``size`` draws and
-    a last one of the rest: the whole stream below ``2 size`` draws, else ``size`` to
-    ``2 size - 1`` draws, so that it is never a single draw of one column, which numpy
-    would multiply by gemv, not gemm."""
-    held, count = [], 0
+def _batches(chunks):
+    """The draws of a stream of arrays, regrouped into the blocks that ``blocks`` cuts the
+    whole stream into, whatever the arrays hold.  All but the last block of the draws held
+    so far are final, so they go out as they arrive."""
+    rest = None
     for chunk in chunks:
         if len(chunk):
-            held.append(chunk)
-            count += len(chunk)
-        if count >= 2 * size:
-            stack = np.concatenate(held)
-            whole = count - count % size - size  # keep one batch for the end
-            yield from (stack[start:start + size] for start in range(0, whole, size))
-            held, count = [stack[whole:]], count - whole
-    if count:
-        yield np.concatenate(held)
+            stack = chunk if rest is None else np.concatenate([rest, chunk])
+            *done, last = blocks(len(stack))
+            yield from (stack[block] for block in done)
+            rest = stack[last]
+    if rest is not None:
+        yield rest
 
 
 def _base_metadata(seed: int, m: int, r: int, n: int, param_mat, started: float) -> dict:
@@ -158,7 +151,8 @@ def cmd_density(args) -> int:
     frames = ser.read_draws(args.input, args.format)
     params, n = None, 0
     with ser.chunk_writer(args.out, args.format, "log_densities") as write:
-        for batch in _batches(frames, DENSITY_BATCH):
+        # the input's blocks, whatever its pieces hold: the bits of one whole evaluation
+        for batch in _batches(frames):
             if params is None:
                 r = batch.shape[2]
                 if args.r is not None and args.r != r:

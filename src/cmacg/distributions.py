@@ -47,6 +47,16 @@ DENSITY_MANIFOLD_ATOL = 1e-8
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
+# Draws per block wherever a stack of draws is worked through piecewise: the
+# samplers' normal draw and orientation, ``density``'s evaluations and every
+# stage of ``verify`` after its draw.  A block gives the bits of one whole call:
+# the draw keeps no state between calls, and all but one product act draw by
+# draw.  The one across draws, the whitening GEMM of the density and of
+# ``verify``, takes an edge kernel for the last n r mod 4 columns; blocks start
+# at multiples of this multiple of 4, so each column takes the kernel that one
+# whole product gives it.
+BLOCK_DRAWS = 2048
+
 
 def __getattr__(name):
     # RngState, the opaque generator type the samplers consume, resolves on use:
@@ -156,10 +166,19 @@ def stacked_real_covariance(column_cov: HermitianPD) -> np.ndarray:
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
+def blocks(n: int) -> list[slice]:
+    """Slices of ``range(n)``, ``BLOCK_DRAWS`` draws each but the last.  A lone last draw
+    joins the block before it: numpy multiplies a single column by gemv, not GEMM."""
+    starts = list(range(0, n, BLOCK_DRAWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
 def sample_complex_matrix_normal_batch(
     params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` matrices, returned as an (n, m, r) complex array."""
+    """Draw ``n`` matrices, returned as an (n, m, r) complex array filled a block at a time."""
     if n < 1:
         raise ValidationError(f"draw count must be >= 1, got {n}")
     m = params.m
@@ -168,8 +187,11 @@ def sample_complex_matrix_normal_batch(
         factor = np.linalg.cholesky(real_cov)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - internal invariant
         raise CholeskyFailure(f"stacked real covariance is not PD: {exc}") from exc
-    stacked = factor @ rng.standard_normal((n, 2 * m, params.r))
-    return stacked[:, :m, :] + 1j * stacked[:, m:, :]
+    out = np.empty((n, m, params.r), np.complex128)
+    for block in blocks(n):
+        stacked = factor @ rng.standard_normal((block.stop - block.start, 2 * m, params.r))
+        out[block] = stacked[:, :m, :] + 1j * stacked[:, m:, :]
+    return out
 
 
 def sample_complex_matrix_normal(
@@ -180,8 +202,11 @@ def sample_complex_matrix_normal(
 
 
 def _orient_with_retry(z: np.ndarray, redraw) -> np.ndarray:
-    """Orient a batch, redrawing rank-deficient rows once via ``redraw(k)``."""
-    frames, bad = _orientation_batch(z)
+    """Orient a batch in place, a block at a time, and return it.  Rank-deficient rows are
+    redrawn once via ``redraw(k)``, after the whole batch."""
+    bad = np.empty(len(z), bool)
+    for block in blocks(len(z)):
+        z[block], bad[block] = _orientation_batch(z[block])
     if bad.any():
         retried, still_bad = _orientation_batch(redraw(int(bad.sum())))
         if still_bad.any():
@@ -189,8 +214,8 @@ def _orient_with_retry(z: np.ndarray, redraw) -> np.ndarray:
                 "rank-deficient normal draw persisted after one retry; "
                 "parameter matrix or generator is defective"
             )
-        frames[bad] = retried
-    return frames
+        z[bad] = retried
+    return z
 
 
 def sample_cmacg_batch(

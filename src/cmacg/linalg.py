@@ -125,8 +125,8 @@ def _small_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _frame_columns(frames: np.ndarray) -> np.ndarray:
     """An (n, m, r) stack as one m x (n r) matrix [H_1 ... H_n], in which one product maps
-    every frame: A H_k is A times it, H_k B its (m n, r) reshape times B.  A stack that
-    is a view of such a matrix, as ``verify`` keeps its samples, is not copied."""
+    every frame: A H_k is A times it, H_k B its (m n, r) reshape times B.  A stack already
+    laid out so, as the two-column orientation keeps it, is not copied."""
     return np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(frames.shape[1], -1)
 
 
@@ -325,12 +325,12 @@ def _orientation_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w *= c * a[:, None]
         frames[..., 1] += w
     else:
-        gram = hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z)
-        eigs, vecs = np.linalg.eigh(gram)
+        eigs, vecs = np.linalg.eigh(hermitian_part(np.swapaxes(z.conj(), 1, 2) @ z))
         bad = eigs[:, 0] <= floor * eigs[:, -1]
         safe = np.where(bad[:, None], 1.0, eigs)
-        inv_sqrt = (vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
-        frames = z @ inv_sqrt
+        # G^{-1/2} is not kept: nothing of the Gram is alive while the frames are checked
+        frames = z @ ((vecs / np.sqrt(safe)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2)))
+        del vecs
     redo = np.flatnonzero(_semi_unitary_residual(frames) > SEMI_UNITARY_ATOL)
     if redo.size:
         h = frames[redo]

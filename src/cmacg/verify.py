@@ -169,60 +169,80 @@ def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _directions(columns: np.ndarray, r: int, rng: np.random.Generator, count: int, symbol: str):
-    """||W^H e||^2, e^H W f and the law of arg(e^H W f), uniform, shaped (count, n), for
-    ``count`` random unit (e, f), the e drawn first, and each W (written ``symbol``) of a
-    sample laid out as one m x (n r) matrix, which one product maps."""
-    lefts, rights = _unit_vectors(rng, count, columns.shape[0]), _unit_vectors(rng, count, r)
-    products = (lefts.conj() @ columns).reshape(count, -1, r)
+def _directions(columns: np.ndarray, r: int, lefts: np.ndarray, rights: np.ndarray):
+    """||W^H e||^2 and e^H W f, shaped (count, n), for each of ``count`` unit (e, f), the rows
+    of ``lefts`` and ``rights``, and each W of a sample laid out as one m x (n r) matrix,
+    which one product maps."""
+    products = (lefts.conj() @ columns).reshape(len(lefts), -1, r)
     entries = np.einsum("jnk,jk->jn", products, rights)
     spans = np.einsum("jnk,jnk->jn", *[products.view(np.float64)] * 2)
-    del products  # not to be alive while the arguments are formed
-    return spans, entries, (f"arg(e^H {symbol} f)", "Uniform(-pi, pi]",
-                            np.angle(entries) / (2 * math.pi) + 0.5)
+    return spans, entries
 
 
-def _ks_subtests(laws: list[tuple[str, str, np.ndarray]], level: float) -> list[CheckResult]:
+def _arg_cdf(entries: np.ndarray) -> np.ndarray:
+    return np.angle(entries) / (2 * math.pi) + 0.5
+
+
+def _by_blocks(n: int, stage) -> list[np.ndarray]:
+    """``stage(block)``'s arrays for every block of ``range(n)``, each written into one array
+    for all n draws.  Each is 2-D, with a fixed count of values per draw on its last axis."""
+    whole = None
+    for block in dist.blocks(n):
+        size, parts = block.stop - block.start, stage(block)
+        if whole is None:
+            whole = [np.empty((len(part), n * part.shape[1] // size)) for part in parts]
+        for out, part in zip(whole, parts):
+            per_draw = part.shape[1] // size
+            out[:, block.start * per_draw:block.stop * per_draw] = part
+    return whole
+
+
+def _ks_subtests(laws: list[tuple[str, str]], uniforms: list[np.ndarray],
+                 level: float) -> list[CheckResult]:
     """One KS subtest at the Bonferroni level per law and per row of its 2-D CDF values; the
     rows are directions, named as such where a law has more than one."""
     named = [(f"KS of {functional} against {law}"
-              + (f", direction {j + 1}" if len(uniforms) > 1 else ""), u)
-             for functional, law, uniforms in laws for j, u in enumerate(uniforms)]
+              + (f", direction {j + 1}" if len(rows) > 1 else ""), u)
+             for (functional, law), rows in zip(laws, uniforms) for j, u in enumerate(rows)]
     level /= len(named)
     return [_ks_uniform(u, level, f"{name} (whitened; Bonferroni level {level:g})")
             for name, u in named]
 
 
 def _exact_law_subtests(
-    columns: np.ndarray, r: int, chol_inv: np.ndarray, rng: np.random.Generator,
-    level: float, count: int,
+    frames: np.ndarray, chol_inv: np.ndarray, rng: np.random.Generator, level: float,
+    count: int,
 ) -> list[CheckResult]:
-    """KS subtests of a CMACG(L L^H) sample, laid out as one m x (n r) matrix, against the
-    uniform law's marginals after whitening.  Each of ``count`` random directions
-    (e, f) gives ||H^H e||^2 ~ Beta(r, m - r) (m > r), |e^H H f|^2 ~ Beta(1, m - 1)
-    (r > 1; at r = 1 it is the first) and arg(e^H H f), uniform.
+    """KS subtests of a CMACG(L L^H) sample, an (n, m, r) stack, against the uniform law's
+    marginals after whitening.  Each of ``count`` random directions (e, f) gives
+    ||H^H e||^2 ~ Beta(r, m - r) (m > r), |e^H H f|^2 ~ Beta(1, m - 1) (r > 1; at r = 1 it
+    is the first) and arg(e^H H f), uniform.
 
-    The sample is whitened in place, W = L^{-1} H, so no second copy of it is alive while
-    the orientation kernel reads W's transposed view.  The orientations are written back
-    into the same buffer, which the caller still holds, so it is the one m x (n r) stack
-    alive while the directions are drawn.  The kernel is called directly, not through the
-    samplers' redraw: a whitened row has nothing to redraw."""
-    m, n = columns.shape[0], columns.shape[1] // r
-    columns[...] = chol_inv @ columns
-    frames, bad = linalg._orientation_batch(columns.reshape(m, n, r).transpose(1, 0, 2))
-    if bad.any():
-        raise RankDeficient(f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
-    columns.reshape(m, n, r)[...] = frames.transpose(1, 0, 2)
-    del frames
-    spans, entries, arg_law = _directions(columns, r, rng, count, "H")
-    laws = []
-    if m > r:
-        laws.append(("||H^H e||^2", f"Beta({r}, {m - r})", _beta_cdf(spans, r, m - r)))
+    The directions are drawn first.  Then each block of draws is whitened, W = L^{-1} H,
+    re-oriented and projected, and only the CDF values that the KS needs are kept, so the
+    sample is the one stack alive.  The kernel is called directly, not through the
+    samplers' redraw: a whitened row has nothing to redraw, and the first block that flags
+    one raises."""
+    n, m, r = frames.shape
+    lefts, rights = (_unit_vectors(rng, count, dim) for dim in (m, r))
+
+    def stage(block):
+        whitened = chol_inv @ linalg._frame_columns(frames[block])
+        oriented, bad = linalg._orientation_batch(whitened.reshape(m, -1, r).transpose(1, 0, 2))
+        if bad.any():
+            raise RankDeficient(
+                f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
+        spans, entries = _directions(linalg._frame_columns(oriented), r, lefts, rights)
+        cdfs = [_beta_cdf(spans, r, m - r)] if m > r else []
+        if r > 1:
+            cdfs.append(_beta_cdf(entries.real**2 + entries.imag**2, 1, m - 1))
+        return cdfs + [_arg_cdf(entries)]
+
+    laws = [("||H^H e||^2", f"Beta({r}, {m - r})")] if m > r else []
     if r > 1:
-        moduli = entries.real**2 + entries.imag**2
-        laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})", _beta_cdf(moduli, 1, m - 1)))
-    laws.append(arg_law)
-    return _ks_subtests(laws, level)
+        laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})"))
+    laws.append(("arg(e^H H f)", "Uniform(-pi, pi]"))
+    return _ks_subtests(laws, _by_blocks(n, stage), level)
 
 
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
@@ -246,7 +266,8 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
     """
     _require_samples("normalization", n)
     frames = dist.sample_uniform_stiefel_batch(ManifoldDims(params.m, params.r), n, rng)
-    values = np.exp(dist.cmacg_log_density_batch(params, frames))
+    values = _by_blocks(
+        n, lambda block: [np.exp(dist.cmacg_log_density_batch(params, frames[block]))[None]])[0][0]
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     statistic = abs(estimate - 1.0)
@@ -275,22 +296,26 @@ def unitary_invariance_check(
     """
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
-    columns = linalg._frame_columns(dist.sample_cmacg_batch(params, n, rng))
+    frames = dist.sample_cmacg_batch(params, n, rng)
     if unitary is None:
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
     unitary = as_complex_matrix(unitary, "unitary")
     if unitary.shape != (r, r):
         raise DimensionMismatch(f"unitary must be {r}x{r}, got {unitary.shape}")
-    # e^H H per frame, and e^H (H U) as its product with U
-    before = (_unit_vectors(rng, 1, m).conj() @ columns).reshape(n, r)
-    base, turned = (np.einsum("ij,ij->i", x, x.conj()).real for x in (before, before @ unitary))
-    threshold = 1e-10 * max(1.0, float(base.max()))
+    left = _unit_vectors(rng, 1, m).conj()
+
+    def stage(block):
+        # e^H H per frame, and e^H (H U) as its product with U; then H -> H U in place
+        before = (left @ linalg._frame_columns(frames[block])).reshape(-1, r)
+        base, turned = (np.einsum("ij,ij->i", x, x.conj()).real for x in (before, before @ unitary))
+        frames[block] = (frames[block].reshape(-1, r) @ unitary).reshape(-1, m, r)
+        return [base[None], np.abs(turned - base)[None]]
+
+    base, gaps = _by_blocks(n, stage)
     subtests = [_two_sample("pointwise identity of ||H^H e||^2 under H -> H U",
-                            float(np.abs(turned - base).max()), threshold)]
-    del before, base, turned  # not to be alive while the exact-law subtests run
-    # H U for every frame, one product on the laid-out rows; H is released
-    columns = (columns.reshape(m * n, r) @ unitary).reshape(m, n * r)
-    subtests += _exact_law_subtests(columns, r, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
+                            float(gaps.max()), 1e-10 * max(1.0, float(base.max())))]
+    del base, gaps  # not to be alive while the exact-law subtests run
+    subtests += _exact_law_subtests(frames, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("unitary_invariance", subtests, n)
 
 
@@ -309,11 +334,13 @@ def corollary_check(
     normal_params = ComplexMatrixNormalParams(params.cov, params.r)
 
     def draw(count: int) -> np.ndarray:
-        return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
+        z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
+        for block in dist.blocks(count):
+            z[block] = b @ z[block]
+        return z
 
-    columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
-    subtests = _exact_law_subtests(
-        columns, params.r, target.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
+    frames = dist._orient_with_retry(draw(n), draw)
+    subtests = _exact_law_subtests(frames, target.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("corollary", subtests, n)
 
 
@@ -339,11 +366,11 @@ def general_class_check(
         if mixture_shape is None:
             return z
         weights = rng.gamma(shape=mixture_shape, scale=1.0 / DEFAULT_MIXTURE_RATE, size=count)
-        return z / np.sqrt(weights)[:, None, None]
+        z /= np.sqrt(weights)[:, None, None]
+        return z
 
-    columns = linalg._frame_columns(dist._orient_with_retry(draw(n), draw))
-    subtests = _exact_law_subtests(
-        columns, params.r, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
+    frames = dist._orient_with_retry(draw(n), draw)
+    subtests = _exact_law_subtests(frames, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
     return _worst_subtest("general_class", subtests, n)
 
 
@@ -351,18 +378,29 @@ def normal_covariance_check(
     params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator,
     level: float = DEFAULT_LEVEL,
 ) -> CheckResult:
-    """Normal draws whitened in place by their column covariance, W = C^{-1/2} Z, have i.i.d.
-    CN(0, 1) entries: |e^H W f|^2 ~ Exp(1) and arg(e^H W f) is uniform for unit e and f, and a
-    column's ||w||^2 ~ Gamma(m, 1).  C^{-1/2} is an ``eigh`` factor, independent of the
-    sampler's stacked real Cholesky factor, so a wrong factor cannot cancel itself out."""
+    """Normal draws whitened by their column covariance a block at a time, W = C^{-1/2} Z,
+    have i.i.d. CN(0, 1) entries: |e^H W f|^2 ~ Exp(1) and arg(e^H W f) is uniform for unit
+    e and f, and a column's ||w||^2 ~ Gamma(m, 1).  C^{-1/2} is an ``eigh`` factor,
+    independent of the sampler's stacked real Cholesky factor, so a wrong factor cannot
+    cancel itself out."""
     _require_samples("normal_covariance", n)
-    columns = linalg._frame_columns(dist.sample_complex_matrix_normal_batch(params, n, rng))
-    columns[...] = linalg.hermitian_inv_sqrt(params.column_cov).mat @ columns
-    entries, arg_law = _directions(columns, params.r, rng, DEFAULT_FUNCTIONALS, "W")[1:]
-    norms = (columns.real**2 + columns.imag**2).sum(axis=0)
-    laws = [("|e^H W f|^2", "Exp(1)", _gamma_cdf(entries.real**2 + entries.imag**2, 1)), arg_law,
-            ("||w||^2 of each column", f"Gamma({params.m}, 1)", _gamma_cdf(norms[None], params.m))]
-    return _worst_subtest("normal_covariance", _ks_subtests(laws, level), n)
+    m, r = params.m, params.r
+    z = dist.sample_complex_matrix_normal_batch(params, n, rng)
+    inv_sqrt = linalg.hermitian_inv_sqrt(params.column_cov).mat
+    lefts, rights = (_unit_vectors(rng, DEFAULT_FUNCTIONALS, dim) for dim in (m, r))
+
+    def stage(block):
+        columns = inv_sqrt @ linalg._frame_columns(z[block])
+        entries = _directions(columns, r, lefts, rights)[1]
+        norms = (columns.real**2 + columns.imag**2).sum(axis=0)
+        return [_gamma_cdf(entries.real**2 + entries.imag**2, 1), _arg_cdf(entries),
+                _gamma_cdf(norms[None], m)]
+
+    uniforms = _by_blocks(n, stage)
+    del z  # not to be alive while the KS sorts
+    laws = [("|e^H W f|^2", "Exp(1)"), ("arg(e^H W f)", "Uniform(-pi, pi]"),
+            ("||w||^2 of each column", f"Gamma({m}, 1)")]
+    return _worst_subtest("normal_covariance", _ks_subtests(laws, uniforms, level), n)
 
 
 CHECK_NAMES = (

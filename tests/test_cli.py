@@ -168,6 +168,23 @@ class TestPinnedBytes:
         assert hashlib.sha256(read_bytes(dens)).hexdigest() == (
             "6ebeb2c99ebe6c34d0f417691361f1f8143ed1dea2634f39fb5d7ebd016a4b73")
 
+    # verify reports as 0.8.1 wrote them on x86-64 Linux: the default suite, the
+    # wide shape, and one whose n r = 37035 is not a multiple of 4, so that the
+    # whitening GEMM's last columns take its edge kernel
+    @pytest.mark.parametrize("flags, digest", [
+        (["--n", "50000"],
+         "c8094adac275a00e0fc93ddd015a2c74ef1325c5528ee66f9dbbd14782737eb4"),
+        (["--n", "10000", "--m", "12", "--r", "4",
+          "--checks", "normalization,unitary_invariance,corollary,general_class"],
+         "af35106e2b27ce6aabf136cc5d48c823add3f6e87f54d133b68b1c199fed385f"),
+        (["--m", "5", "--r", "3", "--n", "12345"],
+         "d94a29424eb129c4d2ff7dce2470b744902b0e8aa96fbc3880677f3c9ccb1f3b"),
+    ], ids=["default-suite", "wide", "edge-columns"])
+    def test_verify_report_digests(self, tmp_path, flags, digest):
+        report = str(tmp_path / "report.json")
+        assert cli.main(["verify", *flags, "--seed", "1", "--out", report]) == 0
+        assert hashlib.sha256(read_bytes(report)).hexdigest() == digest
+
 
 class TestDensity:
     def test_uniform_parameter_gives_zeros(self, tmp_path):

@@ -213,7 +213,7 @@ class TestCmacgSampler:
         def no_redraw(k):
             pytest.fail(f"{k} draws redrawn")
 
-        frames = dist._orient_with_retry(z, no_redraw)
+        frames = dist._orient_with_retry(z.copy(), no_redraw)
         u, _, vh = np.linalg.svd(z, full_matrices=False)
         assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(2)).max() <= 1e-10
         assert np.abs(frames - u @ vh).max() <= 1e-9
@@ -235,6 +235,38 @@ class TestCmacgSampler:
         frames = dist.sample_cmacg_batch(params, 50, make_rng(3))
         assert calls["count"] == 2
         assert np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(r)).max() <= 1e-10
+
+    def test_redraw_comes_after_the_whole_sample(self, monkeypatch):
+        # a row flagged in the second of three blocks is redrawn once every block is
+        # oriented, as one whole orientation redraws it: the same frames, and the
+        # generator left alike
+        params = diag_params([3.0, 2.0, 1.0], 2)
+        size = dist.BLOCK_DRAWS
+        n, flagged = 2 * size + 100, size + 7
+        real, calls = dist._orientation_batch, []
+
+        def flagging(z):
+            frames, bad = real(z)
+            calls.append(len(z))
+            if len(calls) == 2:
+                bad[flagged - size] = True
+            return frames, bad
+
+        monkeypatch.setattr(dist, "_orientation_batch", flagging)
+        rng = make_rng(11)
+        frames = dist.sample_cmacg_batch(params, n, rng)
+        assert calls == [size, size, 100, 1]
+        expected_rng = make_rng(11)
+        factor = np.linalg.cholesky(stacked_real_covariance(params.cov))
+
+        def normals(k):
+            stacked = factor @ expected_rng.standard_normal((k, 6, 2))
+            return stacked[:, :3] + 1j * stacked[:, 3:]
+
+        expected = real(normals(n))[0]
+        expected[flagged] = real(normals(1))[0][0]
+        np.testing.assert_array_equal(frames, expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_persistent_rank_deficiency_raises(self, monkeypatch):
         params = diag_params([1.0, 1.0], 1)
@@ -458,7 +490,7 @@ class TestPolarOracle:
         rng = make_rng(10)
         normal = ComplexMatrixNormalParams(random_hpd(rng, m, 1e10), r)
         z = sample_complex_matrix_normal_batch(normal, 20000, rng)
-        frames = dist._orient_with_retry(z, lambda k: pytest.fail(f"{k} draws redrawn"))
+        frames = dist._orient_with_retry(z.copy(), lambda k: pytest.fail(f"{k} draws redrawn"))
         singular = np.linalg.svd(z, compute_uv=False)
         order = np.argsort(singular[:, 0] / singular[:, -1])
         picked = np.concatenate([order[-30:], rng.choice(order[:-30], 30, replace=False)])
@@ -472,7 +504,7 @@ class TestPolarOracle:
         rng = make_rng(seed)
         normal = ComplexMatrixNormalParams(random_hpd(rng, 2, 1e10), 2)
         z = sample_complex_matrix_normal_batch(normal, 20000, rng)
-        frames = dist._orient_with_retry(z, lambda k: pytest.fail(f"{k} draws redrawn"))
+        frames = dist._orient_with_retry(z.copy(), lambda k: pytest.fail(f"{k} draws redrawn"))
         singular = np.linalg.svd(z, compute_uv=False)
         kappa = singular[:, 0] / singular[:, -1]
         order = np.argsort(kappa)

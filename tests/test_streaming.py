@@ -1,5 +1,6 @@
 """``sample`` and ``density`` stream in fixed-size chunks: the same bytes as one whole
-batch, memory flat in n, and every fault in a later chunk read as in a whole file."""
+batch, memory flat in n, and every fault in a later chunk read as in a whole file.
+``verify`` works through its sample a block at a time."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cmacg.cli as cli
+import cmacg.distributions as dist
 import cmacg.serialization as ser
 import cmacg.verify as verify
 from cmacg import (
@@ -69,11 +71,11 @@ class TestDensityChunks:
         params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
         frames_csv, frames_json, out = (str(tmp_path / name)
                                         for name in ("frames.csv", "frames.json", "out"))
-        for n in around(cli.DENSITY_BATCH):
+        for n in around(dist.BLOCK_DRAWS):
             frames = sample_cmacg_batch(params, n, make_rng(n))
             values = cmacg_log_density_batch(params, frames)
             cases = [(frames_csv, ser.draws_to_csv, "csv", ser.values_to_csv)]
-            if m == 3 or n == cli.DENSITY_BATCH + 1:  # as for sample
+            if m == 3 or n == dist.BLOCK_DRAWS + 1:  # as for sample
                 cases.append((frames_json, ser.draws_to_json, "json", ser.values_to_json))
             for path, write, fmt, encode in cases:
                 with open(path, "w") as handle:
@@ -117,14 +119,18 @@ class TestDensityChunks:
         expected = ser.values_to_csv(cmacg_log_density_batch(params, frames))
         assert read_bytes(out) == expected.encode("ascii")
 
-    def test_batches_are_exact_and_the_last_is_never_one_column(self):
+    def test_batches_are_exact_and_the_last_is_never_one_column(self, monkeypatch):
+        # the blocks of the whole stream, whatever its pieces: full ones, then the rest,
+        # which is one draw only when the stream is
         size = 4
+        monkeypatch.setattr(dist, "BLOCK_DRAWS", size)
         for count in range(1, 30):
             chunks = np.array_split(np.arange(count), [3, 4, 11, 12, 12, 25])
-            sizes = [len(batch) for batch in cli._batches(chunks, size)]
-            assert sum(sizes) == count
+            batches = [batch.tolist() for batch in cli._batches(chunks)]
+            assert batches == [list(range(count))[block] for block in dist.blocks(count)]
+            sizes = [len(batch) for batch in batches]
             assert all(s == size for s in sizes[:-1])
-            assert sizes[-1] == count if count < 2 * size else size <= sizes[-1] < 2 * size
+            assert 0 < sizes[-1] < size + 2 and (sizes[-1] > 1 or count == 1)
 
 
 class TestReadPieces:
@@ -275,7 +281,7 @@ class TestLaterChunkFaults:
             assert err == f"error: {whole.value}\n"
 
     def test_dimension_mismatch_names_the_first_batch(self, tmp_path, capsys, stack):
-        # the one message whose n is not the file's: a batch's, DENSITY_BATCH draws here
+        # the one message whose n is not the file's: a batch's, BLOCK_DRAWS draws here
         param = str(tmp_path / "P.csv")
         with open(param, "w") as handle:
             handle.write(ser.matrix_to_csv(np.eye(4)))
@@ -285,7 +291,7 @@ class TestLaterChunkFaults:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: expected frames shaped (n, 4, 2), got ({cli.DENSITY_BATCH}, 3, 2)\n")
+            f"error: expected frames shaped (n, 4, 2), got ({dist.BLOCK_DRAWS}, 3, 2)\n")
 
     def test_later_chunk_fault_in_sample_leaves_existing_out(self, tmp_path, monkeypatch):
         calls = []
@@ -336,27 +342,35 @@ class TestBoundedMemory:
             assert high <= 1.05 * low, (command, low, high)
 
 
-class TestVerifyReleasesTheSample:
-    @pytest.mark.parametrize("check", ["unitary_invariance", "corollary", "general_class"])
-    def test_one_sample_stack_alive_while_directions_are_drawn(self, monkeypatch, check):
-        m, r, n = 3, 2, 20000
-        stack = m * n * r * 16
-        params = CmacgParams(np.diag([3.0, 2.0, 1.0]), r)
-        alive = []
-        directions = verify._directions
+class TestVerifyMemory:
+    """Each check holds its sample, one stack of n draws, and the values its verdict needs,
+    and works through the sample a block at a time: its tracemalloc peak, counted in sample
+    stacks, is bounded, and past what it holds it is flat in n."""
 
-        def spy(columns, *args):
-            if columns.shape == (m, n * r):  # the exact-law stage, not normal_covariance's
-                alive.append(tracemalloc.get_traced_memory()[0] - base)
-            return directions(columns, *args)
-
-        monkeypatch.setattr(verify, "_directions", spy)
-        verify._run_check(check, params, n // 2, 0, verify.DEFAULT_LEVEL)  # warm caches
+    @staticmethod
+    def peak(check, m, r, n):
+        params = CmacgParams(np.diag(np.arange(m, 0, -1.0)), r)
+        verify._run_check(check, params, 10000, 0, verify.DEFAULT_LEVEL)  # warm caches
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             verify._run_check(check, params, n, 0, verify.DEFAULT_LEVEL)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(alive) == 1
-        assert stack <= alive[0] < 1.5 * stack
+
+    @pytest.mark.parametrize("check", verify.CHECK_NAMES)
+    @pytest.mark.parametrize("m, r, n, bound", [(3, 2, 40000, 2.5), (12, 4, 20000, 1.6)],
+                             ids=["3-2", "12-4"])
+    def test_peak_in_sample_stacks(self, check, m, r, n, bound):
+        assert self.peak(check, m, r, n) / (n * m * r * 16) <= bound
+
+    @pytest.mark.parametrize("check", verify.CHECK_NAMES)
+    def test_peak_past_what_is_held_is_flat_from_n_to_2n(self, check):
+        # held per draw at (3, 2): the sample's 96 bytes and a float64 for each value kept,
+        # three laws' CDFs per direction in the exact-law checks, two per direction and the
+        # r column norms in normal_covariance, the density in normalization
+        m, r, n, count = 3, 2, 20000, verify.DEFAULT_FUNCTIONALS
+        kept = {"normalization": 1, "normal_covariance": 2 * count + r}.get(check, 3 * count)
+        low, high = (self.peak(check, m, r, k) - k * (m * r * 16 + 8 * kept) for k in (n, 2 * n))
+        assert high <= low + dist.BLOCK_DRAWS * m * r * 16 / 2, (low, high)

@@ -43,8 +43,7 @@ def ks_inputs(monkeypatch, frames, chol_inv, seed, n_functionals=1):
         return real(u, level, description)
 
     monkeypatch.setattr(verify, "_ks_uniform", recording)
-    verify._exact_law_subtests(verify.linalg._frame_columns(frames), frames.shape[2], chol_inv,
-                               make_rng(seed), 0.01, n_functionals)
+    verify._exact_law_subtests(frames, chol_inv, make_rng(seed), 0.01, n_functionals)
     monkeypatch.setattr(verify, "_ks_uniform", real)
     return {functional: np.array(values) for functional, values in seen.items()}
 
@@ -472,8 +471,7 @@ class TestExactLaw:
         params = diag_params([3.0, 2.0, 1.0], 2)
         frames = verify.dist.sample_cmacg_batch(params, 20000, make_rng(50))
         verdicts = [
-            [s.passed for s in verify._exact_law_subtests(
-                verify.linalg._frame_columns(frames), 2, whitener, make_rng(51), 0.01, 3)]
+            [s.passed for s in verify._exact_law_subtests(frames, whitener, make_rng(51), 0.01, 3)]
             for whitener in (params.chol_inv, np.eye(3))
         ]
         assert all(verdicts[0])
