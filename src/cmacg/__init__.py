@@ -11,7 +11,7 @@ submodule that defines one, is imported on first access (PEP 562), so
 and ``density`` imports no ``numpy.random``.
 """
 
-__version__ = "0.8.1"
+__version__ = "0.8.2"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

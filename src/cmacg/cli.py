@@ -9,10 +9,10 @@ configuration error, 3 numerical failure.
 
 ``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
 a fixed size and write each chunk's text as it is made, so their memory is
-bounded by a chunk, not by the number of draws.  ``verify`` holds each
-check's sample, one stack of n draws, and works through it a block of
-``BLOCK_DRAWS`` draws at a time.  Every input file is opened and decoded by
-``serialization``, not here.
+bounded by a chunk, not by the number of draws.  ``verify`` holds no
+sample: each check works through its draws a block of ``BLOCK_DRAWS`` draws
+at a time and keeps only the values its verdict needs.  Every input file is
+opened and decoded by ``serialization``, not here.
 
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the

@@ -261,14 +261,29 @@ def draws_from_json(text: str, path_hint: str = "draws file") -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
+def _rest_of_line(handle) -> bytes:
+    """The bytes up to the next CR or LF, that one included, and the LF of a CRLF pair."""
+    rest = bytearray()
+    while buffered := handle.peek():
+        ends = [end for end in (buffered.find(b"\r"), buffered.find(b"\n")) if end >= 0]
+        if not ends:
+            rest += handle.read(len(buffered))
+            continue
+        rest += handle.read(min(ends) + 1)
+        if rest.endswith(b"\r") and handle.peek()[:1] == b"\n":
+            rest += handle.read(1)
+        break
+    return bytes(rest)
+
+
 def _read_pieces(path: str):
     """The text of a file in pieces, each ``READ_BYTES`` and the rest of the line they end
-    in, so that each but the last ends with a line feed.  An undecodable byte is named by
-    its position in the file, as a whole read names it."""
+    in, so that each but the last ends a line, at a line feed, a CRLF pair or a lone CR.
+    An undecodable byte is named by its position in the file, as a whole read names it."""
     try:
         with open(path, "rb") as handle:
             done = 0
-            while data := handle.read(READ_BYTES) + handle.readline():
+            while data := handle.read(READ_BYTES) + _rest_of_line(handle):
                 try:
                     text = data.decode("utf-8")
                 except UnicodeDecodeError as exc:

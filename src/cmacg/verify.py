@@ -28,6 +28,7 @@ Every check is deterministic given its inputs and generator state.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +53,9 @@ MIN_KS_SAMPLES = 100
 
 DEFAULT_MIXTURE_SHAPE = 3.0
 DEFAULT_MIXTURE_RATE = 3.0
+
+# Order statistics per step of the KS scan: bounds its temporaries, not n.
+_KS_STRETCH = 1 << 14
 
 
 def _require_samples(check: str, n: int) -> None:
@@ -132,16 +136,22 @@ def _cdf_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _ks_uniform(u, level: float, description: str) -> CheckResult:
-    """One-sample KS of ``u`` against Uniform(0, 1).  The critical value is the DKW-Massart
-    bound sqrt(ln(2/level) / (2n)), which sup|F_n - F| exceeds with probability at most
-    ``level`` at every n.  F_n jumps from (i - 1)/n to i/n at the i-th order statistic, so
-    the gaps on both sides of the jumps give the sup, ties included."""
-    u = np.sort(np.asarray(u, dtype=float).ravel())
-    if not np.all(np.isfinite(u)):
+    """One-sample KS of ``u`` against Uniform(0, 1), which it sorts in place.  The critical
+    value is the DKW-Massart bound sqrt(ln(2/level) / (2n)), which sup|F_n - F| exceeds with
+    probability at most ``level`` at every n.  F_n jumps from (i - 1)/n to i/n at the i-th
+    order statistic, so the gaps on both sides of the jumps give the sup, ties included;
+    they are taken a stretch of order statistics at a time, and no n-long array is made."""
+    u = np.asarray(u, dtype=float).ravel()
+    u.sort()
+    if not (np.isfinite(u[0]) and np.isfinite(u[-1])):  # NaN sorts last
         raise ValidationError("sample contains NaN or infinite values")
-    steps = np.arange(u.size + 1) / u.size
-    statistic = max(float((steps[1:] - u).max()), float((u - steps[:-1]).max()))
-    return _two_sample(description, statistic, math.sqrt(math.log(2.0 / level) / (2 * u.size)))
+    n, statistic = u.size, -math.inf
+    for start in range(0, n, _KS_STRETCH):
+        part = u[start:start + _KS_STRETCH]
+        steps = np.arange(start, start + part.size + 1) / n
+        statistic = max(statistic, float((steps[1:] - part).max()),
+                        float((part - steps[:-1]).max()))
+    return _two_sample(description, statistic, math.sqrt(math.log(2.0 / level) / (2 * n)))
 
 
 def _beta_cdf(x, a: int, b: int) -> np.ndarray:
@@ -169,6 +179,11 @@ def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _direction_pairs(rng: np.random.Generator, count: int, m: int, r: int):
+    """``count`` random unit (e, f), e in C^m and f in C^r: all the e, then all the f."""
+    return tuple(_unit_vectors(rng, count, dim) for dim in (m, r))
+
+
 def _directions(columns: np.ndarray, r: int, lefts: np.ndarray, rights: np.ndarray):
     """||W^H e||^2 and e^H W f, shaped (count, n), for each of ``count`` unit (e, f), the rows
     of ``lefts`` and ``rights``, and each W of a sample laid out as one m x (n r) matrix,
@@ -183,18 +198,42 @@ def _arg_cdf(entries: np.ndarray) -> np.ndarray:
     return np.angle(entries) / (2 * math.pi) + 0.5
 
 
-def _by_blocks(n: int, stage) -> list[np.ndarray]:
-    """``stage(block)``'s arrays for every block of ``range(n)``, each written into one array
-    for all n draws.  Each is 2-D, with a fixed count of values per draw on its last axis."""
+def _kept(n: int, staged) -> list[np.ndarray]:
+    """The arrays that ``staged`` yields for each block of ``range(n)`` in turn, each written
+    into one array for all n draws.  Each is 2-D, with a fixed count of values per draw on
+    its last axis."""
     whole = None
-    for block in dist.blocks(n):
-        size, parts = block.stop - block.start, stage(block)
+    for block, parts in zip(dist.blocks(n), staged):
+        size = block.stop - block.start
         if whole is None:
             whole = [np.empty((len(part), n * part.shape[1] // size)) for part in parts]
         for out, part in zip(whole, parts):
             per_draw = part.shape[1] // size
             out[:, block.start * per_draw:block.stop * per_draw] = part
     return whole
+
+
+def _skip_normals(params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator):
+    """The blocks of ``dist.sample_complex_matrix_normal_batch(params, n, rng)``, each with
+    the generator state it starts from.  Only the standard normals that call draws are
+    drawn, into one block's buffer, and dropped: ``rng`` is left where the call leaves it,
+    and what it draws next comes where it would after the whole sample."""
+    skipped = np.empty((min(n, dist.BLOCK_DRAWS + 1), 2 * params.m, params.r))
+    marks = []
+    for block in dist.blocks(n):
+        marks.append((block, rng.bit_generator.state))
+        rng.standard_normal(out=skipped[:block.stop - block.start])
+    return marks
+
+
+def _replayed(params: ComplexMatrixNormalParams, marks, rng: np.random.Generator):
+    """Each block of ``marks`` with its normal draws, drawn again through the sampler from the
+    block's saved state on a copy of ``rng``; ``rng`` itself does not move."""
+    replay = copy.deepcopy(rng)
+    for block, state in marks:
+        replay.bit_generator.state = state
+        yield block, dist.sample_complex_matrix_normal_batch(
+            params, block.stop - block.start, replay)
 
 
 def _ks_subtests(laws: list[tuple[str, str]], uniforms: list[np.ndarray],
@@ -209,40 +248,47 @@ def _ks_subtests(laws: list[tuple[str, str]], uniforms: list[np.ndarray],
             for name, u in named]
 
 
-def _exact_law_subtests(
-    frames: np.ndarray, chol_inv: np.ndarray, rng: np.random.Generator, level: float,
-    count: int,
-) -> list[CheckResult]:
-    """KS subtests of a CMACG(L L^H) sample, an (n, m, r) stack, against the uniform law's
-    marginals after whitening.  Each of ``count`` random directions (e, f) gives
-    ||H^H e||^2 ~ Beta(r, m - r) (m > r), |e^H H f|^2 ~ Beta(1, m - 1) (r > 1; at r = 1 it
-    is the first) and arg(e^H H f), uniform.
-
-    The directions are drawn first.  Then each block of draws is whitened, W = L^{-1} H,
-    re-oriented and projected, and only the CDF values that the KS needs are kept, so the
-    sample is the one stack alive.  The kernel is called directly, not through the
-    samplers' redraw: a whitened row has nothing to redraw, and the first block that flags
-    one raises."""
-    n, m, r = frames.shape
-    lefts, rights = (_unit_vectors(rng, count, dim) for dim in (m, r))
-
-    def stage(block):
-        whitened = chol_inv @ linalg._frame_columns(frames[block])
-        oriented, bad = linalg._orientation_batch(whitened.reshape(m, -1, r).transpose(1, 0, 2))
-        if bad.any():
-            raise RankDeficient(
-                f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
-        spans, entries = _directions(linalg._frame_columns(oriented), r, lefts, rights)
-        cdfs = [_beta_cdf(spans, r, m - r)] if m > r else []
-        if r > 1:
-            cdfs.append(_beta_cdf(entries.real**2 + entries.imag**2, 1, m - 1))
-        return cdfs + [_arg_cdf(entries)]
-
+def _exact_laws(m: int, r: int) -> list[tuple[str, str]]:
+    """The marginals of the uniform law that ``_exact_law_cdfs`` tests, in its order."""
     laws = [("||H^H e||^2", f"Beta({r}, {m - r})")] if m > r else []
     if r > 1:
         laws.append(("|e^H H f|^2", f"Beta(1, {m - 1})"))
     laws.append(("arg(e^H H f)", "Uniform(-pi, pi]"))
-    return _ks_subtests(laws, _by_blocks(n, stage), level)
+    return laws
+
+
+def _exact_law_cdfs(frames: np.ndarray, chol_inv: np.ndarray, lefts: np.ndarray,
+                    rights: np.ndarray) -> list[np.ndarray]:
+    """The CDF values of a block of a CMACG(L L^H) sample, an (k, m, r) stack, under the
+    uniform law's marginals after whitening.  W = L^{-1} H is re-oriented, and each unit
+    (e, f), the rows of ``lefts`` and ``rights``, gives ||W^H e||^2 ~ Beta(r, m - r)
+    (m > r), |e^H W f|^2 ~ Beta(1, m - 1) (r > 1; at r = 1 it is the first) and
+    arg(e^H W f), uniform.  The kernel is called directly, not through the samplers'
+    redraw: a whitened row has nothing to redraw, and a block that flags one raises."""
+    m, r = frames.shape[1:]
+    whitened = chol_inv @ linalg._frame_columns(frames)
+    oriented, bad = linalg._orientation_batch(whitened.reshape(m, -1, r).transpose(1, 0, 2))
+    if bad.any():
+        raise RankDeficient(f"{int(bad.sum())} whitened frames failed the orientation's rank gate")
+    spans, entries = _directions(linalg._frame_columns(oriented), r, lefts, rights)
+    cdfs = [_beta_cdf(spans, r, m - r)] if m > r else []
+    if r > 1:
+        cdfs.append(_beta_cdf(entries.real**2 + entries.imag**2, 1, m - 1))
+    return cdfs + [_arg_cdf(entries)]
+
+
+def _exact_law_subtests(
+    frames: np.ndarray, chol_inv: np.ndarray, rng: np.random.Generator, level: float,
+    count: int,
+) -> list[CheckResult]:
+    """KS subtests of a CMACG(L L^H) sample in hand, an (n, m, r) stack, against the uniform
+    law's marginals after whitening, along ``count`` directions drawn first; the checks
+    run ``_exact_law_cdfs`` on their draws as they replay them."""
+    n, m, r = frames.shape
+    lefts, rights = _direction_pairs(rng, count, m, r)
+    cdfs = _kept(n, (_exact_law_cdfs(frames[block], chol_inv, lefts, rights)
+                     for block in dist.blocks(n)))
+    return _ks_subtests(_exact_laws(m, r), cdfs, level)
 
 
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
@@ -262,12 +308,15 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
     normalization of the density w.r.t. the unit-mass measure fixes at one.
     ``MIN_CHECK_SAMPLES`` draws are recommended for a meaningful standard
     error, but smaller counts are accepted; the degenerate identity and
-    square-frame cases are exact at any sample size.
+    square-frame cases are exact at any sample size.  Nothing is drawn after
+    the sample, so each block is drawn, as one sampler call, and evaluated in
+    turn; a rank-deficient draw is redrawn after its block.
     """
     _require_samples("normalization", n)
-    frames = dist.sample_uniform_stiefel_batch(ManifoldDims(params.m, params.r), n, rng)
-    values = _by_blocks(
-        n, lambda block: [np.exp(dist.cmacg_log_density_batch(params, frames[block]))[None]])[0][0]
+    uniform = CmacgParams.uniform(ManifoldDims(params.m, params.r))
+    values = _kept(n, ([np.exp(dist.cmacg_log_density_batch(
+        params, dist.sample_cmacg_batch(uniform, block.stop - block.start, rng)))[None]]
+        for block in dist.blocks(n)))[0][0]
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     statistic = abs(estimate - 1.0)
@@ -283,6 +332,14 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
     )
 
 
+# unitary_invariance, corollary, general_class and normal_covariance draw after their
+# sample, and hold none of it: each first walks its sample's normals with _skip_normals,
+# then draws what follows the sample, in the order a whole sample would leave it, then
+# replays the sample a block at a time and keeps only the values its verdict needs.  A row
+# that the orientation flags is redrawn from ``rng``, which by then stands where the
+# check's last draw ended, so no redraw repeats a replayed normal.
+
+
 def unitary_invariance_check(
     params: CmacgParams, n: int, rng: np.random.Generator, level: float = DEFAULT_LEVEL,
     unitary: np.ndarray | None = None,
@@ -296,26 +353,32 @@ def unitary_invariance_check(
     """
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
-    frames = dist.sample_cmacg_batch(params, n, rng)
+    normal_params = ComplexMatrixNormalParams(params.cov, r)
+    marks = _skip_normals(normal_params, n, rng)
     if unitary is None:
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
     unitary = as_complex_matrix(unitary, "unitary")
     if unitary.shape != (r, r):
         raise DimensionMismatch(f"unitary must be {r}x{r}, got {unitary.shape}")
     left = _unit_vectors(rng, 1, m).conj()
+    lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
+    peaks = []
 
-    def stage(block):
-        # e^H H per frame, and e^H (H U) as its product with U; then H -> H U in place
-        before = (left @ linalg._frame_columns(frames[block])).reshape(-1, r)
+    def stage(z):
+        frames = dist._orient_with_retry(
+            z, lambda k: dist.sample_complex_matrix_normal_batch(normal_params, k, rng))
+        # e^H H per frame, and e^H (H U) as its product with U; then H -> H U
+        before = (left @ linalg._frame_columns(frames)).reshape(-1, r)
         base, turned = (np.einsum("ij,ij->i", x, x.conj()).real for x in (before, before @ unitary))
-        frames[block] = (frames[block].reshape(-1, r) @ unitary).reshape(-1, m, r)
-        return [base[None], np.abs(turned - base)[None]]
+        peaks.append((base.max(), np.abs(turned - base).max()))
+        rotated = (frames.reshape(-1, r) @ unitary).reshape(-1, m, r)
+        return _exact_law_cdfs(rotated, params.chol_inv, lefts, rights)
 
-    base, gaps = _by_blocks(n, stage)
+    cdfs = _kept(n, (stage(z) for _, z in _replayed(normal_params, marks, rng)))
+    base, gap = np.max(peaks, axis=0)
     subtests = [_two_sample("pointwise identity of ||H^H e||^2 under H -> H U",
-                            float(gaps.max()), 1e-10 * max(1.0, float(base.max())))]
-    del base, gaps  # not to be alive while the exact-law subtests run
-    subtests += _exact_law_subtests(frames, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
+                            float(gap), 1e-10 * max(1.0, float(base)))]
+    subtests += _ks_subtests(_exact_laws(m, r), cdfs, level)
     return _worst_subtest("unitary_invariance", subtests, n)
 
 
@@ -329,19 +392,20 @@ def corollary_check(
     parameter and tested against the uniform law's marginals.
     """
     _require_samples("corollary", n)
+    m, r = params.m, params.r
     target = dist.transform_parameter(params, transform)
     b = np.asarray(transform, dtype=np.complex128)
-    normal_params = ComplexMatrixNormalParams(params.cov, params.r)
+    normal_params = ComplexMatrixNormalParams(params.cov, r)
 
-    def draw(count: int) -> np.ndarray:
-        z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
-        for block in dist.blocks(count):
-            z[block] = b @ z[block]
-        return z
+    def redraw(count: int) -> np.ndarray:
+        return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
 
-    frames = dist._orient_with_retry(draw(n), draw)
-    subtests = _exact_law_subtests(frames, target.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
-    return _worst_subtest("corollary", subtests, n)
+    marks = _skip_normals(normal_params, n, rng)
+    lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
+    cdfs = _kept(n, (_exact_law_cdfs(dist._orient_with_retry(b @ z, redraw),
+                                     target.chol_inv, lefts, rights)
+                     for _, z in _replayed(normal_params, marks, rng)))
+    return _worst_subtest("corollary", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
 
 
 def general_class_check(
@@ -354,24 +418,37 @@ def general_class_check(
     Gamma(``mixture_shape``, ``DEFAULT_MIXTURE_RATE``) variable, producing a
     draw whose density depends on the data only through the quadratic form
     in the parameter inverse and is invariant under right unitary maps.
-    ``mixture_shape=None`` selects the degenerate mixture (weight one).
+    ``mixture_shape=None`` selects the degenerate mixture (weight one).  The
+    n weights, drawn after the normals, are the one value per draw held
+    while the sample is replayed.
     """
     _require_samples("general_class", n)
     if mixture_shape is not None and mixture_shape <= 0:
         raise ValidationError(f"mixture shape must be positive, got {mixture_shape}")
-    normal_params = ComplexMatrixNormalParams(params.cov, params.r)
+    m, r = params.m, params.r
+    normal_params = ComplexMatrixNormalParams(params.cov, r)
 
-    def draw(count: int) -> np.ndarray:
-        z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
+    def weights(count: int):
         if mixture_shape is None:
-            return z
-        weights = rng.gamma(shape=mixture_shape, scale=1.0 / DEFAULT_MIXTURE_RATE, size=count)
-        z /= np.sqrt(weights)[:, None, None]
+            return None
+        return rng.gamma(shape=mixture_shape, scale=1.0 / DEFAULT_MIXTURE_RATE, size=count)
+
+    def mixed(z: np.ndarray, scale) -> np.ndarray:
+        if scale is not None:
+            z /= np.sqrt(scale)[:, None, None]
         return z
 
-    frames = dist._orient_with_retry(draw(n), draw)
-    subtests = _exact_law_subtests(frames, params.chol_inv, rng, level, DEFAULT_FUNCTIONALS)
-    return _worst_subtest("general_class", subtests, n)
+    def redraw(count: int) -> np.ndarray:
+        z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
+        return mixed(z, weights(count))
+
+    marks = _skip_normals(normal_params, n, rng)
+    scales = weights(n)
+    lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
+    cdfs = _kept(n, (_exact_law_cdfs(
+        dist._orient_with_retry(mixed(z, None if scales is None else scales[block]), redraw),
+        params.chol_inv, lefts, rights) for block, z in _replayed(normal_params, marks, rng)))
+    return _worst_subtest("general_class", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
 
 
 def normal_covariance_check(
@@ -385,19 +462,18 @@ def normal_covariance_check(
     cancel itself out."""
     _require_samples("normal_covariance", n)
     m, r = params.m, params.r
-    z = dist.sample_complex_matrix_normal_batch(params, n, rng)
+    marks = _skip_normals(params, n, rng)
     inv_sqrt = linalg.hermitian_inv_sqrt(params.column_cov).mat
-    lefts, rights = (_unit_vectors(rng, DEFAULT_FUNCTIONALS, dim) for dim in (m, r))
+    lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
 
-    def stage(block):
-        columns = inv_sqrt @ linalg._frame_columns(z[block])
+    def stage(z):
+        columns = inv_sqrt @ linalg._frame_columns(z)
         entries = _directions(columns, r, lefts, rights)[1]
         norms = (columns.real**2 + columns.imag**2).sum(axis=0)
         return [_gamma_cdf(entries.real**2 + entries.imag**2, 1), _arg_cdf(entries),
                 _gamma_cdf(norms[None], m)]
 
-    uniforms = _by_blocks(n, stage)
-    del z  # not to be alive while the KS sorts
+    uniforms = _kept(n, (stage(z) for _, z in _replayed(params, marks, rng)))
     laws = [("|e^H W f|^2", "Exp(1)"), ("arg(e^H W f)", "Uniform(-pi, pi]"),
             ("||w||^2 of each column", f"Gamma({m}, 1)")]
     return _worst_subtest("normal_covariance", _ks_subtests(laws, uniforms, level), n)

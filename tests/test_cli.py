@@ -169,8 +169,10 @@ class TestPinnedBytes:
             "6ebeb2c99ebe6c34d0f417691361f1f8143ed1dea2634f39fb5d7ebd016a4b73")
 
     # verify reports as 0.8.1 wrote them on x86-64 Linux: the default suite, the
-    # wide shape, and one whose n r = 37035 is not a multiple of 4, so that the
-    # whitening GEMM's last columns take its edge kernel
+    # wide shape, one whose n r = 37035 is not a multiple of 4, so that the
+    # whitening GEMM's last columns take its edge kernel, two whose lone last
+    # draw joins the block before it (n = 5 and 2 blocks and one draw; the
+    # exact-law checks need n >= 10000), and the single-column shape
     @pytest.mark.parametrize("flags, digest", [
         (["--n", "50000"],
          "c8094adac275a00e0fc93ddd015a2c74ef1325c5528ee66f9dbbd14782737eb4"),
@@ -179,7 +181,14 @@ class TestPinnedBytes:
          "af35106e2b27ce6aabf136cc5d48c823add3f6e87f54d133b68b1c199fed385f"),
         (["--m", "5", "--r", "3", "--n", "12345"],
          "d94a29424eb129c4d2ff7dce2470b744902b0e8aa96fbc3880677f3c9ccb1f3b"),
-    ], ids=["default-suite", "wide", "edge-columns"])
+        (["--n", "10241"],
+         "d446935f3752613ad525e8bb2390cc3616c74cef03d41dfbe86e181a03ae462f"),
+        (["--n", "4097", "--checks", "normalization"],
+         "35510679291e23f892d3d37bd027c71516c0d379c4f08573fdcfff0fff79e40d"),
+        (["--m", "4", "--r", "1", "--n", "10000"],
+         "7c901b8114e22193ecedb94d449206398f03b05bcdeb5ec3a7c1f9dee0b65efa"),
+    ], ids=["default-suite", "wide", "edge-columns", "lone-last-draw",
+            "lone-last-draw-normalization", "single-column"])
     def test_verify_report_digests(self, tmp_path, flags, digest):
         report = str(tmp_path / "report.json")
         assert cli.main(["verify", *flags, "--seed", "1", "--out", report]) == 0

@@ -170,6 +170,62 @@ class TestReadPieces:
             assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
 
 
+class TestCarriageReturns:
+    """A piece ends at a CR or an LF, never between the two of a CRLF pair: a file whose
+    lines end in lone CRs is read in pieces, and line numbers count as in a whole read."""
+
+    def draws_file(self, tmp_path, newline, fault=False):
+        frames = sample_cmacg_batch(CmacgParams(np.diag([3.0, 2.0, 1.0]), 2), 40, make_rng(5))
+        lines = ser.draws_to_csv(frames).splitlines()
+        if fault:
+            lines[100] = lines[100].replace(",", ",abc", 1)
+        path = tmp_path / "frames.csv"
+        path.write_bytes("".join(line + newline for line in lines).encode("ascii"))
+        return frames, path
+
+    def density(self, tmp_path, path):
+        param = tmp_path / "P.csv"
+        param.write_text(ser.matrix_to_csv(np.diag([3.0, 2.0, 1.0])))
+        return cli.main(["density", "--param", str(param), "--input", str(path),
+                         "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_pieces_end_lines_and_give_the_same_bytes(self, tmp_path, monkeypatch, newline):
+        frames, path = self.draws_file(tmp_path, newline)
+        expected = ser.values_to_csv(
+            cmacg_log_density_batch(CmacgParams(np.diag([3.0, 2.0, 1.0]), 2), frames))
+        text = path.read_bytes().decode("ascii")
+        for piece_bytes in range(60, 100):  # every offset of a line end in some piece
+            monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
+            pieces = list(ser._read_pieces(str(path)))
+            assert "".join(pieces) == text and len(pieces) > 1
+            assert all(piece.endswith(newline) and not later.startswith("\n")
+                       for piece, later in zip(pieces, pieces[1:]))
+            assert self.density(tmp_path, path) == 0
+            assert read_bytes(tmp_path / "out") == expected.encode("ascii")
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_a_fault_names_the_line_of_a_whole_read(self, tmp_path, monkeypatch, capsys,
+                                                     newline):
+        _, path = self.draws_file(tmp_path, newline, fault=True)
+        with pytest.raises(ValueError) as whole:
+            ser.draws_from_csv(path.read_bytes().decode("ascii"), str(path))
+        assert "line 101 " in str(whole.value)
+        for piece_bytes in range(60, 100):
+            monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
+            assert self.density(tmp_path, path) == 2
+            assert capsys.readouterr().err == f"error: {whole.value}\n"
+
+    def test_a_crlf_pair_cut_at_the_piece_edge_stays_in_its_piece(self, tmp_path, monkeypatch):
+        # the first READ_BYTES end on the first line's CR: its LF joins the piece
+        _, path = self.draws_file(tmp_path, "\r\n")
+        text = path.read_bytes().decode("ascii")
+        first = text.index("\r")
+        monkeypatch.setattr(ser, "READ_BYTES", first + 1)
+        pieces = list(ser._read_pieces(str(path)))
+        assert pieces[0] == text[:first + 2] and not pieces[1].startswith("\n")
+
+
 class TestEndPiece:
     """An empty piece ends a draws file read in pieces: it returns the held draw, or
     raises the error that needs the whole file."""
@@ -343,9 +399,9 @@ class TestBoundedMemory:
 
 
 class TestVerifyMemory:
-    """Each check holds its sample, one stack of n draws, and the values its verdict needs,
-    and works through the sample a block at a time: its tracemalloc peak, counted in sample
-    stacks, is bounded, and past what it holds it is flat in n."""
+    """Each check holds only the values its verdict needs, not its sample, and works through
+    its draws a block at a time: its tracemalloc peak, counted in sample stacks, stays
+    below one and a half, and past what it holds it is flat in n."""
 
     @staticmethod
     def peak(check, m, r, n):
@@ -360,17 +416,18 @@ class TestVerifyMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("check", verify.CHECK_NAMES)
-    @pytest.mark.parametrize("m, r, n, bound", [(3, 2, 40000, 2.5), (12, 4, 20000, 1.6)],
+    @pytest.mark.parametrize("m, r, n, bound", [(3, 2, 40000, 1.35), (12, 4, 20000, 0.8)],
                              ids=["3-2", "12-4"])
     def test_peak_in_sample_stacks(self, check, m, r, n, bound):
         assert self.peak(check, m, r, n) / (n * m * r * 16) <= bound
 
     @pytest.mark.parametrize("check", verify.CHECK_NAMES)
     def test_peak_past_what_is_held_is_flat_from_n_to_2n(self, check):
-        # held per draw at (3, 2): the sample's 96 bytes and a float64 for each value kept,
-        # three laws' CDFs per direction in the exact-law checks, two per direction and the
-        # r column norms in normal_covariance, the density in normalization
+        # held per draw at (3, 2): a float64 for each value kept, three laws' CDFs per
+        # direction in the exact-law checks and general_class's weight too, two per
+        # direction and the r column norms in normal_covariance, the density in normalization
         m, r, n, count = 3, 2, 20000, verify.DEFAULT_FUNCTIONALS
-        kept = {"normalization": 1, "normal_covariance": 2 * count + r}.get(check, 3 * count)
-        low, high = (self.peak(check, m, r, k) - k * (m * r * 16 + 8 * kept) for k in (n, 2 * n))
+        kept = {"normalization": 1, "normal_covariance": 2 * count + r,
+                "general_class": 3 * count + 1}.get(check, 3 * count)
+        low, high = (self.peak(check, m, r, k) - k * 8 * kept for k in (n, 2 * n))
         assert high <= low + dist.BLOCK_DRAWS * m * r * 16 / 2, (low, high)

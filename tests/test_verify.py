@@ -38,8 +38,9 @@ def ks_inputs(monkeypatch, frames, chol_inv, seed, n_functionals=1):
     real, seen = verify._ks_uniform, {}
 
     def recording(u, level, description):
+        # a copy: the KS sorts the row it is handed in place
         functional = description[len("KS of "):description.index(" against")]
-        seen.setdefault(functional, []).append(u)
+        seen.setdefault(functional, []).append(np.array(u))
         return real(u, level, description)
 
     monkeypatch.setattr(verify, "_ks_uniform", recording)
@@ -200,7 +201,7 @@ class TestUnitaryInvarianceCheck:
 
     def test_identity_unitary_statistic_zero(self, monkeypatch):
         # with the exact-law subtests taken out, the pointwise subtest is exact
-        monkeypatch.setattr(verify, "_exact_law_subtests", lambda *args: [])
+        monkeypatch.setattr(verify, "_ks_subtests", lambda *args: [])
         params = diag_params([2.0, 1.0], 1)
         result = unitary_invariance_check(
             params, 10000, make_rng(7), unitary=np.eye(1, dtype=complex)
@@ -540,13 +541,16 @@ class TestMutationPower:
 
     @pytest.mark.parametrize("power", [-1.0, 0.5])
     def test_sampler_parameter_bug_caught_by_unitary_invariance(self, monkeypatch, power):
-        real = verify.dist.sample_cmacg_batch
+        # the check draws its CMACG sample as normal draws with column covariance P, which
+        # it orients itself; the bug draws them with P^power, as a CMACG(P^power) sampler
+        real = verify.dist.sample_complex_matrix_normal_batch
 
         def sampler(params, n, rng):
-            w, v = np.linalg.eigh(params.cov.mat)
-            return real(CmacgParams(hermitian_part((v * w**power) @ v.conj().T), params.r), n, rng)
+            w, v = np.linalg.eigh(params.column_cov.mat)
+            return real(ComplexMatrixNormalParams(hermitian_part((v * w**power) @ v.conj().T),
+                                                  params.r), n, rng)
 
-        monkeypatch.setattr(verify.dist, "sample_cmacg_batch", sampler)
+        monkeypatch.setattr(verify.dist, "sample_complex_matrix_normal_batch", sampler)
         assert self.failing(("unitary_invariance",)) == [["unitary_invariance"]] * 3
 
     @pytest.mark.parametrize("bug", ["dropped_half", "conjugated", "noncircular"])
@@ -631,3 +635,61 @@ class TestRunSuite:
         results = run_suite(params, n=50000, seed=0)
         assert [name for name, _ in results] == list(verify.CHECK_NAMES)
         assert all(outcome.passed for _, outcome in results)
+
+
+class TestReplayedSample:
+    """The checks that draw after their sample replay its blocks from saved generator
+    states; a row that the sampler's orientation flags is redrawn from past the check's
+    last draw, not from a replayed normal."""
+
+    PARAMS = diag_params([3.0, 2.0, 1.0], 2)
+    TRANSFORM = np.eye(3) + 0.3 * np.array([[0, 1j, 0], [0, 0, -1], [0.5, 0, 0]])
+
+    def run(self, monkeypatch, check, flagged=None):
+        """The check at seed 60, the orientation inputs, the frames whose CDFs it keeps,
+        and its generator afterwards."""
+        real_orient, real_cdfs = verify.dist._orientation_batch, verify._exact_law_cdfs
+        inputs, frames = [], []
+
+        def orienting(z):
+            oriented, bad = real_orient(z)
+            inputs.append(z.copy())
+            if flagged is not None and len(inputs) == 2:
+                bad[flagged - verify.dist.BLOCK_DRAWS] = True
+            return oriented, bad
+
+        def recording(h, *args):
+            frames.append(h.copy())
+            return real_cdfs(h, *args)
+
+        monkeypatch.setattr(verify.dist, "_orientation_batch", orienting)
+        monkeypatch.setattr(verify, "_exact_law_cdfs", recording)
+        rng = make_rng(60)
+        if check == "corollary":
+            corollary_check(self.PARAMS, self.TRANSFORM, 10000, rng)
+        else:
+            general_class_check(self.PARAMS, 10000, rng)
+        monkeypatch.undo()
+        return inputs, np.concatenate(frames), rng
+
+    @pytest.mark.parametrize("check", ["corollary", "general_class"])
+    def test_flagged_row_is_redrawn_past_the_last_draw(self, monkeypatch, check):
+        size = verify.dist.BLOCK_DRAWS
+        flagged = size + 7  # in the second of five blocks
+        _, clean, after = self.run(monkeypatch, check)
+        inputs, frames, _ = self.run(monkeypatch, check, flagged)
+        assert [len(z) for z in inputs] == [size, size, 1, size, size, 10000 - 4 * size]
+        # the redraw's normals come from where the unflagged check's last draw ended
+        cursor = make_rng(60)
+        cursor.bit_generator.state = after.bit_generator.state
+        z = verify.dist.sample_complex_matrix_normal_batch(
+            ComplexMatrixNormalParams(self.PARAMS.cov, 2), 1, cursor)
+        if check == "corollary":
+            z = self.TRANSFORM @ z
+        else:
+            z /= np.sqrt(cursor.gamma(shape=3.0, scale=1 / 3.0, size=1))[:, None, None]
+        np.testing.assert_array_equal(inputs[2], z)
+        np.testing.assert_array_equal(frames[flagged], verify.linalg._orientation_batch(z)[0][0])
+        # no frame repeats a replayed draw, and every other one is the unflagged run's
+        assert len({frame.tobytes() for frame in frames} | {clean[flagged].tobytes()}) == 10001
+        np.testing.assert_array_equal(np.delete(frames, flagged, 0), np.delete(clean, flagged, 0))
