@@ -1,19 +1,29 @@
-"""The checks of ``cmacg verify``, run on two forked worker processes where that is possible.
+"""Forked processes: the package's one fork path, ``forked``, and the checks of
+``cmacg verify`` on two forked workers where that is possible.
+
+``forked`` forks a child that runs a function writing to a pipe, and gives the parent the
+pipe's read end, or None where the pipe or the fork fails, so that the parent does that
+work itself.  However the parent's block ends, the child is killed if it still runs, and
+reaped.  Fork, not spawn: a child skips the interpreter's start-up, and it inherits every
+module attribute the parent patched.  ``cmacg verify`` forks its two workers through it,
+and ``serialization.read_draws`` the helper that decodes every other piece of a
+``cmacg density`` CSV input.  This module loads the harness, ``verify``, only to run
+checks.
 
 Each check draws from its own stream, ``derive_rng(seed, lane)``, so a check's result does
 not depend on the process that runs it, and the report is the same serial or forked.  Each
 worker caps its own OpenBLAS at one thread: uncapped, two workers put twice as many BLAS
 threads as CPUs to work, and measured slower than one serial process.  The parent's BLAS
-setting is never touched.  Fork, not spawn: a forked worker skips the interpreter's
-start-up, and it inherits every module attribute the parent patched.  OpenBLAS shuts its
-thread pool down around a fork (``pthread_atfork``), so a worker starts with none.
-``verify.run_suite`` stays serial, so a library caller never forks unasked.  Only the
-``verify`` command loads this module.
+setting is never touched.  OpenBLAS shuts its thread pool down around a fork
+(``pthread_atfork``), so a worker starts with none.  ``verify.run_suite`` stays serial, so
+a library caller never forks unasked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -22,7 +32,6 @@ import time
 
 from numpy.linalg import _umath_linalg
 
-from . import verify
 from .errors import NumericalError, ValidationError
 
 # The thread-cap function of each OpenBLAS build numpy ships or links, found by name as
@@ -38,16 +47,79 @@ SECOND_WORKER = (1, 2)
 PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for this process when its parent dies
 
 
-def run_checks(params, seed=0, checks=None, sidecar=None, n=verify.DEFAULT_SAMPLES,
-               level=verify.DEFAULT_LEVEL):
-    """``verify.run_suite``'s results, one timed check at a time.  Where ``os.fork``, two
-    usable CPUs, two selected checks and a BLAS thread cap are all there, the checks run on
-    two forked workers, else serially.  ``sidecar``, if given, receives ``n``, ``stages``
-    ({check: ms}) and ``workers``."""
+def two_cpus() -> bool:
+    """Whether this process can fork and has two usable CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+@contextlib.contextmanager
+def forked(work):
+    """The read end of a pipe from a child forked to run ``work(pipe)``, ``pipe`` the
+    buffered binary write end, or None where ``os.pipe`` or ``os.fork`` failed, so that the
+    parent does that work itself.  A result the child did not finish writing reads as
+    truncated.  When the block ends, the child is killed if it still runs, and reaped."""
+    parent, pid = os.getpid(), None
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        pass
+    else:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        _run_child(work, read_end, write_end, parent)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")
+    try:
+        yield pipe
+    finally:  # kill first: a child writing to a closed pipe would print an error
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
+
+
+def _run_child(work, read_end, write_end, parent):
+    """A child's whole life: ``work`` on the pipe's write end, then ``os._exit``, 0 if it
+    returned, else 1 with its traceback on stderr, so that it never returns into the
+    parent's code or flushes the parent's stdio.  On Linux it dies with the ``parent``
+    process, even one killed by a signal it cannot catch."""
+    status = 1
+    try:
+        os.close(read_end)
+        if sys.platform.startswith("linux"):
+            ctypes.CDLL(None).prctl(ctypes.c_int(PR_SET_PDEATHSIG), ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() != parent:  # the parent died before that took hold
+            return
+        with os.fdopen(write_end, "wb") as pipe:
+            work(pipe)
+        status = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
+    """``verify.run_suite``'s results, one timed check at a time; ``n`` and ``level``
+    default to its own.  Where two usable CPUs, two selected checks and a BLAS thread cap
+    are all there, the checks run on two forked workers, else serially.  ``sidecar``, if
+    given, receives ``n``, ``stages`` ({check: ms}) and ``workers``, the number of
+    processes that ran checks."""
+    from . import verify
+
+    n = verify.DEFAULT_SAMPLES if n is None else n
+    level = verify.DEFAULT_LEVEL if level is None else level
     selected = verify.select_checks(checks, n, level)  # bad input never forks
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    fork = hasattr(os, "fork") and len(cpus) >= 2 and len(selected) >= 2
-    cap = _blas_thread_cap() if fork else None
+    cap = _blas_thread_cap() if two_cpus() and len(selected) >= 2 else None
 
     def run(names):
         for name in names:
@@ -55,10 +127,10 @@ def run_checks(params, seed=0, checks=None, sidecar=None, n=verify.DEFAULT_SAMPL
             outcome = verify._run_check(name, params, n, seed, level)
             yield name, outcome, round(1000.0 * (time.perf_counter() - started), 3)
 
-    timed = list(run(selected)) if cap is None else _on_two_workers(cap, selected, run)
+    timed, workers = (list(run(selected)), 1) if cap is None else _on_two_workers(
+        cap, selected, run)
     if sidecar is not None:
-        sidecar.update(n=n, stages={name: ms for name, _, ms in timed},
-                       workers=1 if cap is None else 2)
+        sidecar.update(n=n, stages={name: ms for name, _, ms in timed}, workers=workers)
     return [(name, outcome) for name, outcome, _ in timed]
 
 
@@ -78,33 +150,24 @@ def _blas_thread_cap():
 
 def _on_two_workers(cap, names, run):
     """``run``'s items for ``names``, split between two forked workers each capped at one
-    BLAS thread, in the order of ``names``.  The first ValidationError or NumericalError
-    in that order is raised, as a serial run raises it; a worker that ends without a result
-    is a NumericalError at its first check.  Every worker is reaped on every path, and
-    killed first if the parent leaves early."""
+    BLAS thread, in the order of ``names``, and the number of processes that ran them.  A
+    group that cannot be forked runs in the parent.  The first ValidationError or
+    NumericalError in that order is raised, as a serial run raises it; a worker that ends
+    without a result is a NumericalError at its first check."""
     groups = ([i for i in range(len(names)) if i not in SECOND_WORKER],
               [i for i in range(len(names)) if i in SECOND_WORKER])
-    live, slots, parent = {}, {}, os.getpid()
-    try:
-        for group in groups:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(cap, run, [names[i] for i in group], read_end, write_end, parent)
-            os.close(write_end)
-            live[pid] = group, os.fdopen(read_end, "rb")
-        for pid, (group, pipe) in list(live.items()):
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del live[pid]
-            if status == 0:
-                slots.update(zip(group, pickle.loads(payload)))
-    finally:
-        for pid, (_, pipe) in live.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+    slots = {}
+    with contextlib.ExitStack() as stack:
+        pipes = [stack.enter_context(forked(functools.partial(
+            _work, cap, run, [names[i] for i in group]))) for group in groups]
+        for group, pipe in zip(groups, pipes):
+            if pipe is None:
+                slots.update(zip(group, _results(run, [names[i] for i in group])))
+        for group, pipe in zip(groups, pipes):
+            try:
+                slots.update(zip(group, pickle.loads(pipe.read()) if pipe else ()))
+            except (EOFError, pickle.UnpicklingError):  # the worker ended without a result
+                pass
     for i in range(len(names)):
         if i not in slots:
             lost = groups[1] if i in SECOND_WORKER else groups[0]
@@ -112,36 +175,23 @@ def _on_two_workers(cap, names, run):
                                  f"{', '.join(names[j] for j in lost)} ended without a result")
         if isinstance(slots[i], Exception):
             raise slots[i]
-    return [slots[i] for i in range(len(names))]
+    return [slots[i] for i in range(len(names))], 2 if any(pipes) else 1
 
 
-def _work(cap, run, names, read_end, write_end, parent):
-    """A worker's whole life: one BLAS thread, then ``run(names)``'s items, and the
-    ValidationError or NumericalError that stopped it if one did, pickled down the pipe.
-    It leaves by ``os._exit``, so it never returns into the parent's code or flushes the
-    parent's stdio; any other exception prints its traceback and leaves no result.  On
-    Linux it dies with the ``parent`` process, even one killed by a signal it cannot catch."""
-    status = 1
+def _results(run, names):
+    """``run(names)``'s items, and the ValidationError or NumericalError that stopped it
+    if one did."""
+    done = []
     try:
-        os.close(read_end)
-        if sys.platform.startswith("linux"):
-            ctypes.CDLL(None).prctl(ctypes.c_int(PR_SET_PDEATHSIG), ctypes.c_ulong(signal.SIGKILL))
-        if os.getppid() != parent:  # the parent died before that took hold
-            return
-        cap(1)
-        done = []
-        try:
-            for item in run(names):
-                done.append(item)
-        except (ValidationError, NumericalError) as exc:
-            done.append(exc)
-        payload = pickle.dumps(done)
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    except BaseException:
-        import traceback
+        for item in run(names):
+            done.append(item)
+    except (ValidationError, NumericalError) as exc:
+        done.append(exc)
+    return done
 
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+
+def _work(cap, run, names, pipe):
+    """A verify worker: one BLAS thread, then ``_results`` pickled down the pipe; any
+    other exception leaves no result."""
+    cap(1)
+    pipe.write(pickle.dumps(_results(run, names)))

@@ -12,7 +12,10 @@ a fixed size and write each chunk's text as it is made, so their memory is
 bounded by a chunk, not by the number of draws.  ``verify`` holds no
 sample: each check works through its draws a block of ``BLOCK_DRAWS`` draws
 at a time and keeps only the values its verdict needs.  Every input file is
-opened and decoded by ``serialization``, not here.
+opened and decoded by ``serialization``, not here.  Where two CPUs are usable,
+``verify`` runs its checks on two forked workers and ``density`` decodes a CSV
+input of several pieces with a forked helper, both through ``_workers.forked``;
+the sidecar records ``workers``, and the data bytes are those of a serial run.
 
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
@@ -24,6 +27,7 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -148,9 +152,9 @@ def cmd_density(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
     param = _load_param(args)
-    frames = ser.read_draws(args.input, args.format)
-    params, n = None, 0
-    with ser.chunk_writer(args.out, args.format, "log_densities") as write:
+    params, n, sidecar = None, 0, {}
+    with contextlib.closing(ser.read_draws(args.input, args.format, sidecar)) as frames, \
+            ser.chunk_writer(args.out, args.format, "log_densities") as write:
         # the input's blocks, whatever its pieces hold: the bits of one whole evaluation
         for batch in _batches(frames):
             if params is None:
@@ -168,7 +172,7 @@ def cmd_density(args) -> int:
             n += len(batch)
     ser.write_sidecar(
         args.out,
-        _base_metadata(seed, params.m, params.r, n, params.cov.mat, started),
+        {**_base_metadata(seed, params.m, params.r, n, params.cov.mat, started), **sidecar},
     )
     return EXIT_OK
 

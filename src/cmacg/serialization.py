@@ -14,7 +14,10 @@ read.
 Every input file is read here, by one reader: ``READ_BYTES`` and the rest of
 the line at a time, decoded as UTF-8.  ``read_draws`` decodes a draws file
 piece by piece; ``read_text`` joins the pieces of a parameter, ``sqrt`` or
-JSON input.
+JSON input.  A piece of a draws CSV is decoded on its own (``_decode_piece``),
+then passed through the cursor in file order (``draws_from_csv``), so a
+forked helper (``_workers.forked``) can decode every other piece of a file of
+several pieces while this process decodes the rest.
 
 JSON layout: a draw is an m-by-r nesting of two-element [re, im] lists,
 row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
@@ -33,6 +36,7 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -158,14 +162,25 @@ class CsvCursor:
     the next piece may continue.  Once rows of a second width appear, the rest
     of the file is only parsed, so that a non-numeric line anywhere is named
     first, and ``widths`` gathers every width for the error the end raises.
+    ``decoded`` holds the next piece's ``_decode_piece`` result when another
+    process has made it, else None.
     """
 
-    __slots__ = ("lines", "draws", "height", "rows", "widths")
+    __slots__ = ("lines", "draws", "height", "rows", "widths", "decoded")
 
     def __init__(self):
         self.lines = self.draws = self.height = 0
         self.rows = None  # the held draw's rows, (k, width)
-        self.widths = None
+        self.widths = self.decoded = None
+
+
+def _decode_piece(text: str, path_hint: str):
+    """A piece of a draws CSV decoded on its own: its rows as ``_parse_csv_rows`` gives
+    them (None if it holds only blank lines) and its line count.  It needs nothing from
+    the pieces before it, so any process may decode any piece."""
+    lines = text.splitlines()
+    rows = None if not text or text.isspace() else _parse_csv_rows(text, path_hint, lines)
+    return rows, len(lines)
 
 
 def draws_from_csv(text: str, path_hint: str = "draws file",
@@ -177,22 +192,22 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
     ``draw_index`` and the width and height checks count from the pieces
     before it, so any one fault reads as it does in a whole read.  A draw
     that may go on into the next piece is held back, and returned with that
-    piece or the end.
+    piece or the end.  The piece is decoded by ``_decode_piece``, unless the
+    cursor holds its decode already; the rest is the cursor's sequential step.
     """
     last = cursor is None or not text
     cursor = CsvCursor() if cursor is None else cursor
-    first_line, lines = cursor.lines, text.splitlines()
-    cursor.lines += len(lines)
+    first_line, decoded, cursor.decoded = cursor.lines, cursor.decoded, None
     width = None if cursor.rows is None else cursor.rows.shape[1]
     try:
-        data = (np.empty((0, width or 0)) if not text or text.isspace()
-                else _parse_csv_rows(text, path_hint, lines))
+        data, count = decoded or _decode_piece(text, path_hint)
     except _BadLine as exc:
         raise _BadLine(path_hint, first_line + exc.line, exc.reason) from exc.__cause__
     except _RaggedRows as exc:
-        data, seen = None, set(exc.widths)
+        data, count, seen = None, len(text.splitlines()), set(exc.widths)
     else:
-        seen = {data.shape[1]} if len(data) else set()
+        seen = set() if data is None else {data.shape[1]}
+    cursor.lines += count
     if width:
         seen.add(width)
     if cursor.widths is not None or len(seen) > 1:
@@ -201,7 +216,7 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
             raise _RaggedRows(path_hint, cursor.widths)
         return np.empty((0, 0, 0), np.complex128)
     if width is None:
-        if not len(data):  # only blank lines so far
+        if data is None:  # only blank lines so far
             if last:
                 raise ValidationError(f"{path_hint}: no data rows")
             return np.empty((0, 0, 0), np.complex128)
@@ -210,6 +225,8 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
             raise ValidationError(
                 f"{path_hint}: expected draw_index plus (Re, Im) pairs, got {width} columns"
             )
+    if data is None:
+        data = np.empty((0, width))
     if not np.all(data[:, 0] == np.round(data[:, 0])):
         raise ValidationError(f"{path_hint}: draw_index column is not integral")
     if cursor.rows is not None:
@@ -303,16 +320,63 @@ def read_text(path: str) -> str:
     return "".join(_read_pieces(path))
 
 
-def read_draws(path: str, fmt: str):
+def read_draws(path: str, fmt: str, sidecar: dict | None = None):
     """The draws of a ``density`` input, as arrays: a CSV file decoded a piece at a time,
-    each piece's draws as one array, then its end; a JSON document read and decoded whole."""
+    each piece's draws as one array, then its end; a JSON document read and decoded whole.
+    A CSV file of more than one ``READ_BYTES`` piece, where this process can fork and has
+    two usable CPUs, is decoded on two: a forked helper decodes every other piece, and this
+    process the rest, and runs the cursor over every piece in file order.  A piece that the
+    helper cannot decode, and every piece after the helper ends without its result, is
+    decoded here, so the draws and every error are those of a serial read.  ``sidecar``,
+    if given, receives ``workers``, the number of processes that decode."""
     if fmt == "json":
+        if sidecar is not None:
+            sidecar["workers"] = 1
         yield draws_from_json(read_text(path), path_hint=path)
         return
-    cursor = CsvCursor()
-    for text in _read_pieces(path):
-        yield draws_from_csv(text, path, cursor)
-    yield draws_from_csv("", path, cursor)
+    with _csv_helper(path) as helper:
+        if sidecar is not None:
+            sidecar["workers"] = 1 if helper is None else 2
+        cursor = CsvCursor()
+        for k, text in enumerate(_read_pieces(path)):
+            if k % 2 and helper is not None:
+                try:
+                    cursor.decoded = pickle.load(helper)
+                except (EOFError, pickle.UnpicklingError):  # the helper ended
+                    helper = None
+            yield draws_from_csv(text, path, cursor)
+        yield draws_from_csv("", path, cursor)
+
+
+def _csv_helper(path: str):
+    """``_workers.forked`` for a helper that decodes every other piece of ``path``, or no
+    helper where it cannot pay: a file of one piece, no fork, one usable CPU."""
+    try:
+        pieces = os.path.getsize(path) > READ_BYTES
+    except OSError:  # _read_pieces names it
+        pieces = False
+    if pieces:
+        from . import _workers
+
+        if _workers.two_cpus():
+            return _workers.forked(functools.partial(_decode_odd_pieces, path))
+    return contextlib.nullcontext()
+
+
+def _decode_odd_pieces(path: str, pipe) -> None:
+    """The helper's work: each odd-numbered piece's ``_decode_piece`` result, or None if it
+    raises, pickled down ``pipe`` as soon as it is made.  A file it cannot read ends it."""
+    try:
+        for k, text in enumerate(_read_pieces(path)):
+            if k % 2:
+                try:
+                    decoded = _decode_piece(text, path)
+                except ValidationError:  # the parent decodes it again and raises
+                    decoded = None
+                pipe.write(pickle.dumps(decoded, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+    except ValidationError:
+        pass
 
 
 def matrix_to_json(mat: np.ndarray) -> str:

@@ -1,13 +1,23 @@
-"""Shared deterministic generators for the test suite.
+"""Shared deterministic generators for the test suite, and its check that no forked
+child is left behind.
 
 The frame and unitary generators here are QR-based on purpose: they give
 the tests a source of manifold points that does not go through the
 package's own polar-decomposition machinery.
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from cmacg import hermitian_part
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_hpd(rng, dim, cond=50.0):

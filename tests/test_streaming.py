@@ -1,10 +1,15 @@
 """``sample`` and ``density`` stream in fixed-size chunks: the same bytes as one whole
 batch, memory flat in n, and every fault in a later chunk read as in a whole file.
-``verify`` works through its sample a block at a time."""
+``density`` decodes a CSV of several pieces with a forked helper, or alone on one CPU, to
+the same bytes and messages.  ``verify`` works through its sample a block at a time."""
 
+import errno
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,10 +19,11 @@ import cmacg.cli as cli
 import cmacg.distributions as dist
 import cmacg.serialization as ser
 import cmacg.verify as verify
+from cmacg import _workers as workers
 from cmacg import (
     CmacgParams, cmacg_log_density_batch, hermitian_part, make_rng, sample_cmacg_batch,
 )
-from conftest import random_hpd
+from conftest import assert_no_child_left, random_hpd
 
 SHAPES = [(3, 1), (3, 2), (6, 3), (12, 4)]
 
@@ -39,6 +45,29 @@ def read_bytes(path):
 
 def outputs(tmp_path):
     return sorted(os.listdir(tmp_path))
+
+
+@pytest.fixture(params=["forked", "serial"])
+def decoders(request, monkeypatch):
+    """``density`` with its forked helper, or alone as under a one-CPU affinity.  Each
+    test's files are of several pieces, so after it the forked runs must have forked, the
+    serial ones not, and no child may be left."""
+    if request.param == "forked" and not workers.two_cpus():
+        pytest.skip("the helper needs os.fork and two usable CPUs")
+    if request.param == "serial":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield
+    assert bool(forks) == (request.param == "forked")
+    assert_no_child_left()
 
 
 class TestSampleChunks:
@@ -86,7 +115,8 @@ class TestDensityChunks:
                 assert json.load(open(out + ".meta.json"))["n"] == n
 
     @pytest.mark.parametrize("piece_bytes", [64, 1000, 4096])
-    def test_small_pieces_give_the_same_bytes(self, tmp_path, monkeypatch, piece_bytes):
+    def test_small_pieces_give_the_same_bytes(self, tmp_path, monkeypatch, decoders,
+                                              piece_bytes):
         # pieces far shorter than a draw, and blank, CRLF and form-feed lines across them
         monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
         param = write_param(tmp_path, 3)
@@ -190,7 +220,8 @@ class TestCarriageReturns:
                          "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
-    def test_pieces_end_lines_and_give_the_same_bytes(self, tmp_path, monkeypatch, newline):
+    def test_pieces_end_lines_and_give_the_same_bytes(self, tmp_path, monkeypatch, decoders,
+                                                      newline):
         frames, path = self.draws_file(tmp_path, newline)
         expected = ser.values_to_csv(
             cmacg_log_density_batch(CmacgParams(np.diag([3.0, 2.0, 1.0]), 2), frames))
@@ -206,7 +237,7 @@ class TestCarriageReturns:
 
     @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
     def test_a_fault_names_the_line_of_a_whole_read(self, tmp_path, monkeypatch, capsys,
-                                                     newline):
+                                                     decoders, newline):
         _, path = self.draws_file(tmp_path, newline, fault=True)
         with pytest.raises(ValueError) as whole:
             ser.draws_from_csv(path.read_bytes().decode("ascii"), str(path))
@@ -310,8 +341,8 @@ class TestLaterChunkFaults:
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-    def test_whole_file_message_and_nothing_written(self, tmp_path, capsys, stack, fault,
-                                                    existing):
+    def test_whole_file_message_and_nothing_written(self, tmp_path, capsys, decoders, stack,
+                                                    fault, existing):
         param = str(tmp_path / "P.csv")
         with open(param, "w") as handle:
             handle.write(ser.matrix_to_csv(np.diag([3.0, 2.0, 1.0])))
@@ -366,6 +397,150 @@ class TestLaterChunkFaults:
         assert code == 2
         assert out.read_bytes() == b"old bytes\n"
         assert outputs(tmp_path) == ["draws.csv"]
+
+
+requires_helper = pytest.mark.skipif(not workers.two_cpus(),
+                                     reason="the helper needs os.fork and two usable CPUs")
+
+
+class TestDensityHelper:
+    """A CSV input of several pieces is decoded on two processes where two CPUs are
+    usable: the helper takes every other piece.  The bytes are those of a serial read on
+    every path, and no helper outlives the command."""
+
+    PIECE = 4096  # bytes: 300 draws make 19 pieces
+
+    @pytest.fixture
+    def density(self, tmp_path, monkeypatch):
+        """``run(extra_lines=None)``: exit code, output bytes and sidecar of one ``density``
+        run on 300 draws in pieces of ``PIECE`` bytes, and the bytes a whole read gives."""
+        monkeypatch.setattr(ser, "READ_BYTES", self.PIECE)
+        params = CmacgParams(np.diag([3.0, 2.0, 1.0]), 2)
+        frames = sample_cmacg_batch(params, 300, make_rng(4))
+        expected = ser.values_to_csv(cmacg_log_density_batch(params, frames)).encode("ascii")
+        param, path, out = tmp_path / "P.csv", tmp_path / "frames.csv", tmp_path / "dens.csv"
+        param.write_text(ser.matrix_to_csv(params.cov.mat))
+        lines = ser.draws_to_csv(frames).splitlines(keepends=True)
+
+        def run(fault=None):
+            if fault is not None:  # a frame off the manifold, named by its place in the file
+                index, _, rest = lines[3 * fault].split(",", 2)
+                lines[3 * fault] = f"{index},1.5,{rest}"
+            path.write_text("".join(lines))
+            code = cli.main(["density", "--param", str(param), "--input", str(path),
+                             "--out", str(out)])
+            meta = out.parent / (out.name + ".meta.json")
+            return (code, out.read_bytes() if out.exists() else None,
+                    json.loads(meta.read_text()) if meta.exists() else None)
+
+        return run, expected
+
+    @requires_helper
+    def test_sidecar_records_two_workers(self, density):
+        run, expected = density
+        code, data, meta = run()
+        assert (code, data, meta["workers"]) == (0, expected, 2)
+        assert_no_child_left()
+
+    @requires_helper
+    def test_killed_helper_gives_the_same_bytes(self, density, monkeypatch):
+        # the helper kills itself as it starts its second piece, after sending the first
+        parent, calls, decode = os.getpid(), [], ser._decode_piece
+
+        def dies_on_second_piece(text, path_hint):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return decode(text, path_hint)
+
+        monkeypatch.setattr(ser, "_decode_piece", dies_on_second_piece)
+        code, data, meta = run_and_reap(density[0])
+        assert (code, data, meta["workers"]) == (0, density[1], 2)
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_failed_fork_decodes_alone(self, density, monkeypatch, call):
+        def fails(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, call, fails)
+        code, data, meta = run_and_reap(density[0])
+        assert (code, data, meta["workers"]) == (0, density[1], 1)
+
+    def test_one_cpu_never_forks(self, density, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, data, meta = density[0]()
+        assert (code, data, meta["workers"]) == (0, density[1], 1)
+
+    def test_one_piece_never_forks(self, density, monkeypatch):
+        monkeypatch.setattr(ser, "READ_BYTES", 1 << 20)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, data, meta = density[0]()
+        assert (code, data, meta["workers"]) == (0, density[1], 1)
+
+    @requires_helper
+    def test_off_manifold_frame_in_a_late_piece_leaves_no_child(self, density, monkeypatch,
+                                                                  capsys):
+        # batches of 16 draws: the frame's batch is evaluated while pieces are left to read
+        monkeypatch.setattr(dist, "BLOCK_DRAWS", 16)
+        code, data, meta = run_and_reap(density[0], fault=250)
+        assert (code, data, meta) == (2, None, None)
+        assert "frame 250 is not semi-unitary" in capsys.readouterr().err
+
+    @requires_helper
+    @pytest.mark.parametrize("where", ["decode", "density"])
+    def test_interrupt_in_the_read_leaves_no_child(self, density, monkeypatch, tmp_path, where):
+        # the second call in this process: a piece decoded here, or a batch of 16 draws
+        # evaluated while the reader waits between pieces
+        owner, name = (ser, "_decode_piece") if where == "decode" else (
+            cli, "cmacg_log_density_batch")
+        monkeypatch.setattr(dist, "BLOCK_DRAWS", 16)
+        parent, calls, call = os.getpid(), [], getattr(owner, name)
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            return call(*args)
+
+        monkeypatch.setattr(owner, name, interrupted)
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            density[0]()
+        assert_no_child_left()  # while the traceback keeps the command's frames alive
+        assert outputs(tmp_path) == ["P.csv", "frames.csv"] and interrupt.traceback
+
+    @requires_helper
+    def test_the_helper_loads_no_harness(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import cmacg.cli as cli, cmacg.serialization as ser\n"
+            "ser.READ_BYTES = 4096\n"
+            "assert cli.main(['sample', '--uniform', '--m', '3', '--r', '2', '--n', '300',"
+            " '--out', 'f.csv']) == 0\n"
+            "assert cli.main(['density', '--uniform', '--m', '3', '--input', 'f.csv',"
+            " '--out', 'd.csv']) == 0\n"
+            "assert 'cmacg._workers' in sys.modules and 'cmacg.verify' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+            cli.__file__)), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "d.csv.meta.json").read_text())["workers"] == 2
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+def run_and_reap(run, **kwargs):
+    result = run(**kwargs)
+    assert_no_child_left()
+    return result
 
 
 class TestBoundedMemory:

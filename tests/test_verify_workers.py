@@ -1,9 +1,11 @@
 """`cmacg verify` on two forked workers: the same report, lines and exit codes as a
-serial run, and no worker left behind on any path.
+serial run, and no worker left behind on any path.  A group of checks that cannot be
+forked runs in the parent.
 
 Patching ``workers._blas_thread_cap`` to return None forces the serial path.
 """
 
+import errno
 import json
 import os
 import signal
@@ -19,6 +21,7 @@ import cmacg.cli as cli
 from cmacg import _workers as workers
 from cmacg import distributions as dist
 from cmacg.errors import NotOnManifold, NumericalError, ValidationError
+from conftest import assert_no_child_left
 
 WIDE = ["--m", "12", "--r", "4", "--n", "10000", "--checks",
         "normalization,unitary_invariance,corollary,general_class"]
@@ -42,11 +45,6 @@ def run_verify(tmp_path, capsys, argv, serial=False, name="report.json"):
     sidecar = out.parent / (out.name + ".meta.json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
     return code, report, meta, captured.out, captured.err
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def failing_result(name):
@@ -200,6 +198,32 @@ class TestErrorsFromWorkers:
         assert time.monotonic() - started < 30
         assert_no_child_left()
         assert not (tmp_path / "r.json").exists()
+
+
+@requires_workers
+class TestFailedFork:
+    @pytest.mark.parametrize("failing, workers_used", [
+        ("pipe", 1), ("fork", 1), ("first-fork", 2), ("second-fork", 2)])
+    def test_checks_run_in_the_parent_with_the_same_report(
+            self, tmp_path, capsys, monkeypatch, failing, workers_used):
+        serial = run_verify(tmp_path, capsys, ["--n", "10000"], serial=True, name="serial.json")
+        calls, fork, pipe = [], os.fork, os.pipe
+
+        def fails(real, *args):
+            calls.append(1)
+            if (failing, len(calls)) in {("first-fork", 2), ("second-fork", 1)}:
+                return real()
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if failing == "pipe":
+            monkeypatch.setattr(os, "pipe", lambda: fails(pipe))
+        else:
+            monkeypatch.setattr(os, "fork", lambda: fails(fork))
+        code, report, meta, out, err = run_verify(tmp_path, capsys, ["--n", "10000"])
+        assert_no_child_left()
+        assert len(calls) == 2
+        assert (code, report, out, err) == (0, serial[1], serial[3], "")
+        assert meta["workers"] == workers_used
 
 
 @requires_workers
