@@ -10,12 +10,15 @@ configuration error, 3 numerical failure.
 ``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
 a fixed size and write each chunk's text as it is made, so their memory is
 bounded by a chunk, not by the number of draws.  ``verify`` holds no
-sample: each check works through its draws a block of ``BLOCK_DRAWS`` draws
-at a time and keeps only the values its verdict needs.  Every input file is
-opened and decoded by ``serialization``, not here.  Where two CPUs are usable,
-``verify`` runs its checks on two forked workers and ``density`` decodes a CSV
-input of several pieces with a forked helper, both through ``_workers.forked``;
-the sidecar records ``workers``, and the data bytes are those of a serial run.
+sample: each check works through its draws a block at a time and keeps only
+the values its verdict needs.  A block is one of ``distributions.blocks``: at
+most ``BLOCK_DRAWS`` draws and at most ``BLOCK_BYTES`` of draw values, so
+memory does not grow with m r either; a ``sample`` chunk is two blocks.
+Every input file is opened and decoded by ``serialization``, not here.
+Where two CPUs are usable, ``verify`` runs its checks on two forked workers
+and ``density`` decodes a CSV input of several pieces with a forked helper,
+both through ``_workers.forked``; the sidecar records ``workers``, and the
+data bytes are those of a serial run.
 
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
@@ -37,6 +40,7 @@ import numpy as np
 from . import __version__, serialization as ser
 from .distributions import (
     CmacgParams,
+    block_draws,
     blocks,
     cmacg_log_density_batch,
     make_rng,
@@ -52,12 +56,6 @@ EXIT_NUMERICAL_ERROR = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
-
-# Draws per chunk of ``sample``.  Chunked draws are the draws of one whole call,
-# bit for bit: the normal draw keeps no state between calls, and the factor
-# product and the orientation act draw by draw.
-SAMPLE_CHUNK = 4096
-
 
 def run_suite(*args, **kwargs):
     """``_workers.run_checks``, imported on call: only ``verify`` loads the harness."""
@@ -101,14 +99,14 @@ def _load_param(args) -> HermitianPD:
 
 
 def _batches(chunks):
-    """The draws of a stream of arrays, regrouped into the blocks that ``blocks`` cuts the
-    whole stream into, whatever the arrays hold.  All but the last block of the draws held
-    so far are final, so they go out as they arrive."""
+    """The draws of a stream of (k, m, r) arrays, regrouped into the blocks that ``blocks``
+    cuts the whole stream into, whatever the arrays hold.  All but the last block of the
+    draws held so far are final, so they go out as they arrive."""
     rest = None
     for chunk in chunks:
         if len(chunk):
             stack = chunk if rest is None else np.concatenate([rest, chunk])
-            *done, last = blocks(len(stack))
+            *done, last = blocks(*stack.shape)
             yield from (stack[block] for block in done)
             rest = stack[last]
     if rest is not None:
@@ -135,9 +133,13 @@ def cmd_sample(args) -> int:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     params = CmacgParams(param, args.r)
     rng = make_rng(seed)
+    # two blocks a chunk, 4096 draws at (3, 2).  Chunked draws are the draws of one whole
+    # call, bit for bit: the normal draw keeps no state between calls, and the factor
+    # product and the orientation act draw by draw.
+    chunk = 2 * block_draws(params.m, params.r)
     with ser.chunk_writer(args.out, args.format, "draws") as write:
-        for start in range(0, args.n, SAMPLE_CHUNK):
-            draws = sample_cmacg_batch(params, min(SAMPLE_CHUNK, args.n - start), rng)
+        for start in range(0, args.n, chunk):
+            draws = sample_cmacg_batch(params, min(chunk, args.n - start), rng)
             if args.as_projection:
                 draws = hermitian_part(draws @ np.swapaxes(draws.conj(), 1, 2))
             write(draws, start)
@@ -158,7 +160,10 @@ def cmd_density(args) -> int:
         # the input's blocks, whatever its pieces hold: the bits of one whole evaluation
         for batch in _batches(frames):
             if params is None:
-                r = batch.shape[2]
+                m, r = batch.shape[1:]
+                if m != param.dim:
+                    raise ValidationError(f"{args.input}: frames are {m}x{r} but the parameter "
+                                          f"matrix is {param.dim}x{param.dim}")
                 if args.r is not None and args.r != r:
                     raise ValidationError(f"--r {args.r} does not match frames of width {r}")
                 params = CmacgParams(param, r)

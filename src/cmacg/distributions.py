@@ -47,15 +47,18 @@ DENSITY_MANIFOLD_ATOL = 1e-8
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
-# Draws per block wherever a stack of draws is worked through piecewise: the
-# samplers' normal draw and orientation, ``density``'s evaluations and every
-# stage of ``verify`` after its draw.  A block gives the bits of one whole call:
-# the draw keeps no state between calls, and all but one product act draw by
-# draw.  The one across draws, the whitening GEMM of the density and of
-# ``verify``, takes an edge kernel for the last n r mod 4 columns; blocks start
-# at multiples of this multiple of 4, so each column takes the kernel that one
-# whole product gives it.
+# The bounds of a block wherever a stack of draws is worked through piecewise: the
+# samplers' normal draw and orientation, ``density``'s evaluations and every stage of
+# ``verify`` after its draw.  A block holds at most ``BLOCK_DRAWS`` draws and at most
+# ``BLOCK_BYTES`` of complex draw values, 16 m r bytes a draw, so its arrays do not grow
+# with m r: 2048 draws at (m, r) = (3, 2), 512 at (12, 4), 20 at (48, 24).  A block gives
+# the bits of one whole call: the draw keeps no state between calls, and all but one
+# product act draw by draw.  The one across draws, the whitening GEMM of the density and
+# of ``verify``, takes an edge kernel for the last n r mod 4 columns; a block's draw count
+# is a multiple of 4, and never below 4, so each column takes the kernel that one whole
+# product gives it.
 BLOCK_DRAWS = 2048
+BLOCK_BYTES = 3 << 17
 
 
 def __getattr__(name):
@@ -166,10 +169,16 @@ def stacked_real_covariance(column_cov: HermitianPD) -> np.ndarray:
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
-def blocks(n: int) -> list[slice]:
-    """Slices of ``range(n)``, ``BLOCK_DRAWS`` draws each but the last.  A lone last draw
-    joins the block before it: numpy multiplies a single column by gemv, not GEMM."""
-    starts = list(range(0, n, BLOCK_DRAWS))
+def block_draws(m: int, r: int) -> int:
+    """Draws in a full block of m x r draws: ``BLOCK_DRAWS`` or ``BLOCK_BYTES`` of them."""
+    return min(BLOCK_DRAWS, max(4, BLOCK_BYTES // (16 * m * r) // 4 * 4))
+
+
+def blocks(n: int, m: int, r: int) -> list[slice]:
+    """Slices of ``range(n)`` for draws shaped m x r, ``block_draws(m, r)`` each but the
+    last.  A lone last draw joins the block before it: numpy multiplies a single column by
+    gemv, not GEMM."""
+    starts = list(range(0, n, block_draws(m, r)))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
@@ -188,7 +197,7 @@ def sample_complex_matrix_normal_batch(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - internal invariant
         raise CholeskyFailure(f"stacked real covariance is not PD: {exc}") from exc
     out = np.empty((n, m, params.r), np.complex128)
-    for block in blocks(n):
+    for block in blocks(n, m, params.r):
         stacked = factor @ rng.standard_normal((block.stop - block.start, 2 * m, params.r))
         out[block] = stacked[:, :m, :] + 1j * stacked[:, m:, :]
     return out
@@ -205,7 +214,7 @@ def _orient_with_retry(z: np.ndarray, redraw) -> np.ndarray:
     """Orient a batch in place, a block at a time, and return it.  Rank-deficient rows are
     redrawn once via ``redraw(k)``, after the whole batch."""
     bad = np.empty(len(z), bool)
-    for block in blocks(len(z)):
+    for block in blocks(*z.shape):
         z[block], bad[block] = _orientation_batch(z[block])
     if bad.any():
         retried, still_bad = _orientation_batch(redraw(int(bad.sum())))

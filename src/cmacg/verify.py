@@ -198,12 +198,12 @@ def _arg_cdf(entries: np.ndarray) -> np.ndarray:
     return np.angle(entries) / (2 * math.pi) + 0.5
 
 
-def _kept(n: int, staged) -> list[np.ndarray]:
-    """The arrays that ``staged`` yields for each block of ``range(n)`` in turn, each written
-    into one array for all n draws.  Each is 2-D, with a fixed count of values per draw on
-    its last axis."""
-    whole = None
-    for block, parts in zip(dist.blocks(n), staged):
+def _kept(blocks: list[slice], staged) -> list[np.ndarray]:
+    """The arrays that ``staged`` yields for each of ``blocks``, which cover ``range(n)``, in
+    turn, each written into one array for all n draws.  Each is 2-D, with a fixed count of
+    values per draw on its last axis."""
+    n, whole = blocks[-1].stop, None
+    for block, parts in zip(blocks, staged):
         size = block.stop - block.start
         if whole is None:
             whole = [np.empty((len(part), n * part.shape[1] // size)) for part in parts]
@@ -216,11 +216,12 @@ def _kept(n: int, staged) -> list[np.ndarray]:
 def _skip_normals(params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator):
     """The blocks of ``dist.sample_complex_matrix_normal_batch(params, n, rng)``, each with
     the generator state it starts from.  Only the standard normals that call draws are
-    drawn, into one block's buffer, and dropped: ``rng`` is left where the call leaves it,
-    and what it draws next comes where it would after the whole sample."""
-    skipped = np.empty((min(n, dist.BLOCK_DRAWS + 1), 2 * params.m, params.r))
+    drawn, into one buffer the size of the largest block, and dropped: ``rng`` is left where
+    the call leaves it, and what it draws next comes where it would after the whole sample."""
+    blocks = dist.blocks(n, params.m, params.r)
+    skipped = np.empty((max(b.stop - b.start for b in blocks), 2 * params.m, params.r))
     marks = []
-    for block in dist.blocks(n):
+    for block in blocks:
         marks.append((block, rng.bit_generator.state))
         rng.standard_normal(out=skipped[:block.stop - block.start])
     return marks
@@ -286,8 +287,9 @@ def _exact_law_subtests(
     run ``_exact_law_cdfs`` on their draws as they replay them."""
     n, m, r = frames.shape
     lefts, rights = _direction_pairs(rng, count, m, r)
-    cdfs = _kept(n, (_exact_law_cdfs(frames[block], chol_inv, lefts, rights)
-                     for block in dist.blocks(n)))
+    blocks = dist.blocks(n, m, r)
+    cdfs = _kept(blocks, (_exact_law_cdfs(frames[block], chol_inv, lefts, rights)
+                          for block in blocks))
     return _ks_subtests(_exact_laws(m, r), cdfs, level)
 
 
@@ -314,9 +316,10 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
     """
     _require_samples("normalization", n)
     uniform = CmacgParams.uniform(ManifoldDims(params.m, params.r))
-    values = _kept(n, ([np.exp(dist.cmacg_log_density_batch(
+    blocks = dist.blocks(n, params.m, params.r)
+    values = _kept(blocks, ([np.exp(dist.cmacg_log_density_batch(
         params, dist.sample_cmacg_batch(uniform, block.stop - block.start, rng)))[None]]
-        for block in dist.blocks(n)))[0][0]
+        for block in blocks))[0][0]
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     statistic = abs(estimate - 1.0)
@@ -335,9 +338,11 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
 # unitary_invariance, corollary, general_class and normal_covariance draw after their
 # sample, and hold none of it: each first walks its sample's normals with _skip_normals,
 # then draws what follows the sample, in the order a whole sample would leave it, then
-# replays the sample a block at a time and keeps only the values its verdict needs.  A row
-# that the orientation flags is redrawn from ``rng``, which by then stands where the
-# check's last draw ended, so no redraw repeats a replayed normal.
+# replays the sample a block at a time and keeps only the values its verdict needs.  The
+# blocks are ``dist.blocks(n, m, r)``, bounded in bytes as well as in draws, so neither
+# the walk's buffer nor a replayed block grows with m r.  A row that the orientation
+# flags is redrawn from ``rng``, which by then stands where the check's last draw ended,
+# so no redraw repeats a replayed normal.
 
 
 def unitary_invariance_check(
@@ -374,7 +379,8 @@ def unitary_invariance_check(
         rotated = (frames.reshape(-1, r) @ unitary).reshape(-1, m, r)
         return _exact_law_cdfs(rotated, params.chol_inv, lefts, rights)
 
-    cdfs = _kept(n, (stage(z) for _, z in _replayed(normal_params, marks, rng)))
+    cdfs = _kept(dist.blocks(n, m, r),
+                 (stage(z) for _, z in _replayed(normal_params, marks, rng)))
     base, gap = np.max(peaks, axis=0)
     subtests = [_two_sample("pointwise identity of ||H^H e||^2 under H -> H U",
                             float(gap), 1e-10 * max(1.0, float(base)))]
@@ -402,9 +408,9 @@ def corollary_check(
 
     marks = _skip_normals(normal_params, n, rng)
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
-    cdfs = _kept(n, (_exact_law_cdfs(dist._orient_with_retry(b @ z, redraw),
-                                     target.chol_inv, lefts, rights)
-                     for _, z in _replayed(normal_params, marks, rng)))
+    cdfs = _kept(dist.blocks(n, m, r), (
+        _exact_law_cdfs(dist._orient_with_retry(b @ z, redraw), target.chol_inv, lefts, rights)
+        for _, z in _replayed(normal_params, marks, rng)))
     return _worst_subtest("corollary", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
 
 
@@ -445,7 +451,7 @@ def general_class_check(
     marks = _skip_normals(normal_params, n, rng)
     scales = weights(n)
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
-    cdfs = _kept(n, (_exact_law_cdfs(
+    cdfs = _kept(dist.blocks(n, m, r), (_exact_law_cdfs(
         dist._orient_with_retry(mixed(z, None if scales is None else scales[block]), redraw),
         params.chol_inv, lefts, rights) for block, z in _replayed(normal_params, marks, rng)))
     return _worst_subtest("general_class", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
@@ -473,7 +479,8 @@ def normal_covariance_check(
         return [_gamma_cdf(entries.real**2 + entries.imag**2, 1), _arg_cdf(entries),
                 _gamma_cdf(norms[None], m)]
 
-    uniforms = _kept(n, (stage(z) for _, z in _replayed(params, marks, rng)))
+    uniforms = _kept(dist.blocks(n, m, r),
+                     (stage(z) for _, z in _replayed(params, marks, rng)))
     laws = [("|e^H W f|^2", "Exp(1)"), ("arg(e^H W f)", "Uniform(-pi, pi]"),
             ("||w||^2 of each column", f"Gamma({m}, 1)")]
     return _worst_subtest("normal_covariance", _ks_subtests(laws, uniforms, level), n)

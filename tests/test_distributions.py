@@ -148,6 +148,39 @@ class TestComplexMatrixNormal:
         assert np.all(np.abs(empirical - target) <= 4.0 * std_error)
 
 
+class TestBlocks:
+    """``blocks(n, m, r)`` cuts a stack of n draws shaped m x r into blocks of at most
+    ``BLOCK_DRAWS`` draws and ``BLOCK_BYTES`` of complex draw values, the most that both
+    allow in a multiple of 4 draws, never below 4; a lone last draw joins the block
+    before it."""
+
+    @pytest.mark.parametrize("budget", [64, 5000, dist.BLOCK_BYTES, 1 << 30])
+    @pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (5, 3), (6, 3), (12, 4), (24, 8),
+                                      (48, 24), (97, 61), (300, 200)])
+    def test_bounds_starts_and_cover(self, monkeypatch, budget, m, r):
+        monkeypatch.setattr(dist, "BLOCK_BYTES", budget)
+        size, per_draw = dist.block_draws(m, r), 16 * m * r
+        assert size % 4 == 0 and 4 <= size <= dist.BLOCK_DRAWS
+        assert size * per_draw <= budget or size == 4
+        assert size == dist.BLOCK_DRAWS or (size + 4) * per_draw > budget  # the most allowed
+        rng = np.random.default_rng(size)
+        edges = [1, 2, 3, 4, 5, size - 1, size, size + 1, size + 2, 2 * size + 1, 3 * size + 3]
+        for n in sorted(set(edges) | set(rng.integers(1, 5 * size, 20).tolist())):
+            cut = dist.blocks(n, m, r)
+            assert [b.start for b in cut] + [n] == [0] + [b.stop for b in cut], n
+            assert all(b.step is None and b.start % 4 == 0 for b in cut), n
+            lengths = [b.stop - b.start for b in cut]
+            lone = n > 1 and n % size == 1  # the last block took in a lone last draw
+            held = lengths[:-1] + [lengths[-1] - lone]
+            assert all(0 < k <= size for k in held), n
+            assert all(k == size for k in held[:-1]), n
+            assert lengths[-1] > 1 or n == 1, n
+
+    def test_budget_at_the_named_shapes(self):
+        shapes = [(3, 2), (6, 3), (12, 4), (24, 8), (48, 24)]
+        assert [dist.block_draws(m, r) for m, r in shapes] == [2048, 1364, 512, 128, 20]
+
+
 class TestCmacgSampler:
     def test_fixed_seed_identical_draws(self):
         params = diag_params([2.0, 1.0], 1)

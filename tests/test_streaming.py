@@ -76,11 +76,11 @@ class TestSampleChunks:
         # JSON and projections of wide draws encode slowly: beyond m = 3, one size only
         param = write_param(tmp_path, m)
         params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
-        out = str(tmp_path / "out")
-        for n in around(cli.SAMPLE_CHUNK):
+        out, chunk = str(tmp_path / "out"), 2 * dist.block_draws(m, r)  # two blocks a chunk
+        for n in around(chunk):
             whole = sample_cmacg_batch(params, n, make_rng(n))
             cases = [([], ser.draws_to_csv)]
-            if m == 3 or n == cli.SAMPLE_CHUNK + 1:
+            if m == 3 or n == chunk + 1:
                 projections = hermitian_part(whole @ np.swapaxes(whole.conj(), 1, 2))
                 cases += [(["--format", "json"], ser.draws_to_json),
                           (["--as-projection"], lambda _: ser.draws_to_csv(projections))]
@@ -100,11 +100,12 @@ class TestDensityChunks:
         params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
         frames_csv, frames_json, out = (str(tmp_path / name)
                                         for name in ("frames.csv", "frames.json", "out"))
-        for n in around(dist.BLOCK_DRAWS):
+        size = dist.block_draws(m, r)
+        for n in around(size):
             frames = sample_cmacg_batch(params, n, make_rng(n))
             values = cmacg_log_density_batch(params, frames)
             cases = [(frames_csv, ser.draws_to_csv, "csv", ser.values_to_csv)]
-            if m == 3 or n == dist.BLOCK_DRAWS + 1:  # as for sample
+            if m == 3 or n == size + 1:  # as for sample
                 cases.append((frames_json, ser.draws_to_json, "json", ser.values_to_json))
             for path, write, fmt, encode in cases:
                 with open(path, "w") as handle:
@@ -149,18 +150,45 @@ class TestDensityChunks:
         expected = ser.values_to_csv(cmacg_log_density_batch(params, frames))
         assert read_bytes(out) == expected.encode("ascii")
 
-    def test_batches_are_exact_and_the_last_is_never_one_column(self, monkeypatch):
-        # the blocks of the whole stream, whatever its pieces: full ones, then the rest,
-        # which is one draw only when the stream is
+    @pytest.mark.parametrize("bound, value", [("BLOCK_DRAWS", 4), ("BLOCK_BYTES", 4 * 16 * 2)])
+    def test_batches_are_exact_and_the_last_is_never_one_column(self, monkeypatch, bound,
+                                                                 value):
+        # the blocks of the whole stream of 2 x 1 draws, whatever its pieces: full ones of
+        # 4 draws, by either bound, then the rest, which is one draw only when the stream is
         size = 4
-        monkeypatch.setattr(dist, "BLOCK_DRAWS", size)
+        monkeypatch.setattr(dist, bound, value)
         for count in range(1, 30):
-            chunks = np.array_split(np.arange(count), [3, 4, 11, 12, 12, 25])
-            batches = [batch.tolist() for batch in cli._batches(chunks)]
-            assert batches == [list(range(count))[block] for block in dist.blocks(count)]
+            chunks = np.array_split(np.arange(2 * count).reshape(count, 2, 1),
+                                    [3, 4, 11, 12, 12, 25])
+            batches = [batch[:, 0, 0].tolist() for batch in cli._batches(chunks)]
+            assert batches == [list(range(0, 2 * count, 2))[block]
+                               for block in dist.blocks(count, 2, 1)]
             sizes = [len(batch) for batch in batches]
             assert all(s == size for s in sizes[:-1])
             assert 0 < sizes[-1] < size + 2 and (sizes[-1] > 1 or count == 1)
+
+
+class TestBlockBytes:
+    """``BLOCK_BYTES`` moves memory only: at (12, 4), where it bounds a block, ``sample``,
+    ``density`` and ``verify`` write the same bytes with blocks of 512 draws and of 36,
+    a budget of 38.1 draws rounded down to a multiple of 4."""
+
+    def test_outputs_do_not_depend_on_the_budget(self, tmp_path, monkeypatch):
+        param, runs = write_param(tmp_path, 12), []
+        for budget, size in [(dist.BLOCK_BYTES, 512), (38 * 12 * 4 * 16 + 100, 36)]:
+            monkeypatch.setattr(dist, "BLOCK_BYTES", budget)
+            assert dist.block_draws(12, 4) == size
+            draws, dens, report = (str(tmp_path / f"{size}-{name}")
+                                   for name in ("draws.csv", "dens.csv", "report.json"))
+            assert cli.main(["sample", "--param", param, "--r", "4", "--n", "1025",
+                             "--seed", "2", "--out", draws]) == 0
+            assert cli.main(["density", "--param", param, "--input", draws,
+                             "--out", dens]) == 0
+            # only the report's bytes matter here, not its verdicts
+            assert cli.main(["verify", "--param", param, "--r", "4", "--n", "10000",
+                             "--seed", "2", "--out", report]) in (0, 1)
+            runs.append([read_bytes(path) for path in (draws, dens, report)])
+        assert runs[0] == runs[1]
 
 
 class TestReadPieces:
@@ -367,8 +395,8 @@ class TestLaterChunkFaults:
                 ser.draws_from_csv("".join(lines), str(path))
             assert err == f"error: {whole.value}\n"
 
-    def test_dimension_mismatch_names_the_first_batch(self, tmp_path, capsys, stack):
-        # the one message whose n is not the file's: a batch's, BLOCK_DRAWS draws here
+    def test_dimension_mismatch_names_the_file(self, tmp_path, capsys, stack):
+        # the file's shape of draw, not the size of the batch it was found in
         param = str(tmp_path / "P.csv")
         with open(param, "w") as handle:
             handle.write(ser.matrix_to_csv(np.eye(4)))
@@ -378,7 +406,7 @@ class TestLaterChunkFaults:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: expected frames shaped (n, 4, 2), got ({dist.BLOCK_DRAWS}, 3, 2)\n")
+            f"error: {path}: frames are 3x2 but the parameter matrix is 4x4\n")
 
     def test_later_chunk_fault_in_sample_leaves_existing_out(self, tmp_path, monkeypatch):
         calls = []
@@ -392,8 +420,8 @@ class TestLaterChunkFaults:
         monkeypatch.setattr(cli, "sample_cmacg_batch", fail_on_third)
         out = tmp_path / "draws.csv"
         out.write_bytes(b"old bytes\n")
-        code = cli.main(["sample", "--uniform", "--m", "3", "--r", "2",
-                         "--n", str(3 * cli.SAMPLE_CHUNK), "--out", str(out)])
+        code = cli.main(["sample", "--uniform", "--m", "3", "--r", "2",  # three chunks
+                         "--n", str(3 * 2 * dist.block_draws(3, 2)), "--out", str(out)])
         assert code == 2
         assert out.read_bytes() == b"old bytes\n"
         assert outputs(tmp_path) == ["draws.csv"]
@@ -572,11 +600,34 @@ class TestBoundedMemory:
         for command, low, high in zip(("sample", "density"), small, large):
             assert high <= 1.05 * low, (command, low, high)
 
+    def test_peak_is_a_few_blocks_at_a_wide_shape(self, tmp_path):
+        # at (24, 8) a block is 128 draws, BLOCK_BYTES of draw values, where 2048-draw
+        # blocks are 16 times as large
+        param = write_param(tmp_path, 24)
+        draws, dens = str(tmp_path / "draws.csv"), str(tmp_path / "dens.csv")
+
+        def sample(n):
+            return ["sample", "--param", param, "--r", "8", "--n", str(n), "--seed", "1",
+                    "--out", draws]
+
+        density = ["density", "--param", param, "--input", draws, "--out", dens]
+        tracemalloc.start()
+        try:
+            cli.main(sample(100))
+            cli.main(density)
+            peaks = self.peak(sample(4000)), self.peak(density)
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(draws) > 16 * ser.READ_BYTES
+        for command, peak in zip(("sample", "density"), peaks):
+            assert peak <= 16 * dist.BLOCK_BYTES, (command, peak)
+
 
 class TestVerifyMemory:
     """Each check holds only the values its verdict needs, not its sample, and works through
     its draws a block at a time: its tracemalloc peak, counted in sample stacks, stays
-    below one and a half, and past what it holds it is flat in n."""
+    below one and a half, and past what it holds it is flat in n and, at a wide shape, a
+    few blocks."""
 
     @staticmethod
     def peak(check, m, r, n):
@@ -591,18 +642,30 @@ class TestVerifyMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("check", verify.CHECK_NAMES)
-    @pytest.mark.parametrize("m, r, n, bound", [(3, 2, 40000, 1.35), (12, 4, 20000, 0.8)],
+    @pytest.mark.parametrize("m, r, n, bound", [(3, 2, 40000, 1.35), (12, 4, 20000, 0.35)],
                              ids=["3-2", "12-4"])
     def test_peak_in_sample_stacks(self, check, m, r, n, bound):
         assert self.peak(check, m, r, n) / (n * m * r * 16) <= bound
 
+    @staticmethod
+    def kept(check, r):
+        """Bytes held per draw at m > r > 1: a float64 for each value kept, three laws' CDFs
+        per direction in the exact-law checks and general_class's weight too, two per
+        direction and the r column norms in normal_covariance, the density in normalization."""
+        count = verify.DEFAULT_FUNCTIONALS
+        return 8 * {"normalization": 1, "normal_covariance": 2 * count + r,
+                    "general_class": 3 * count + 1}.get(check, 3 * count)
+
     @pytest.mark.parametrize("check", verify.CHECK_NAMES)
     def test_peak_past_what_is_held_is_flat_from_n_to_2n(self, check):
-        # held per draw at (3, 2): a float64 for each value kept, three laws' CDFs per
-        # direction in the exact-law checks and general_class's weight too, two per
-        # direction and the r column norms in normal_covariance, the density in normalization
-        m, r, n, count = 3, 2, 20000, verify.DEFAULT_FUNCTIONALS
-        kept = {"normalization": 1, "normal_covariance": 2 * count + r,
-                "general_class": 3 * count + 1}.get(check, 3 * count)
-        low, high = (self.peak(check, m, r, k) - k * 8 * kept for k in (n, 2 * n))
-        assert high <= low + dist.BLOCK_DRAWS * m * r * 16 / 2, (low, high)
+        m, r, n = 3, 2, 20000
+        low, high = (self.peak(check, m, r, k) - k * self.kept(check, r) for k in (n, 2 * n))
+        assert high <= low + dist.block_draws(m, r) * m * r * 16 / 2, (low, high)
+
+    @pytest.mark.parametrize("check", verify.CHECK_NAMES)
+    def test_peak_past_what_is_held_is_a_few_blocks_at_a_wide_shape(self, check):
+        # at (24, 8) a block is 128 draws, BLOCK_BYTES of draw values, where 2048-draw
+        # blocks are 16 times as large
+        m, r, n = 24, 8, 10000
+        peak = self.peak(check, m, r, n) - n * self.kept(check, r)
+        assert peak <= 8 * dist.BLOCK_BYTES, peak
