@@ -7,13 +7,14 @@ Monte Carlo check suite), ``sqrt`` (principal Hermitian square root).
 Exit codes are exhaustive: 0 success, 1 verification failure, 2 input or
 configuration error, 3 numerical failure.
 
-``sample`` and ``density`` stream: they draw, read and evaluate in chunks of
-a fixed size and write each chunk's text as it is made, so their memory is
-bounded by a chunk, not by the number of draws.  ``verify`` holds no
-sample: each check works through its draws a block at a time and keeps only
-the values its verdict needs.  A block is one of ``distributions.blocks``: at
+``sample`` and ``density`` stream: ``sample`` draws a block at a time, one
+sampler call each, ``density`` reads its input in pieces and evaluates it a
+block at a time, and both write each block's text as it is made, so their
+memory does not grow with the number of draws.  ``verify`` holds no sample:
+each check works through its draws a block at a time and keeps only the
+values its verdict needs.  A block is one of ``distributions.blocks``: at
 most ``BLOCK_DRAWS`` draws and at most ``BLOCK_BYTES`` of draw values, so
-memory does not grow with m r either; a ``sample`` chunk is two blocks.
+memory does not grow with m r either.
 Every input file is opened and decoded by ``serialization``, not here.
 Where two CPUs are usable, ``verify`` runs its checks on two forked workers
 and ``density`` decodes a CSV input of several pieces with a forked helper,
@@ -40,7 +41,6 @@ import numpy as np
 from . import __version__, serialization as ser
 from .distributions import (
     CmacgParams,
-    block_draws,
     blocks,
     cmacg_log_density_batch,
     make_rng,
@@ -133,16 +133,14 @@ def cmd_sample(args) -> int:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     params = CmacgParams(param, args.r)
     rng = make_rng(seed)
-    # two blocks a chunk, 4096 draws at (3, 2).  Chunked draws are the draws of one whole
-    # call, bit for bit: the normal draw keeps no state between calls, and the factor
-    # product and the orientation act draw by draw.
-    chunk = 2 * block_draws(params.m, params.r)
+    # one sampler call a block, bit for bit one whole call's draws: the normal draw keeps no
+    # state between calls, and the factor product and the orientation act draw by draw.
     with ser.chunk_writer(args.out, args.format, "draws") as write:
-        for start in range(0, args.n, chunk):
-            draws = sample_cmacg_batch(params, min(chunk, args.n - start), rng)
+        for block in blocks(args.n, params.m, params.r):
+            draws = sample_cmacg_batch(params, block.stop - block.start, rng)
             if args.as_projection:
                 draws = hermitian_part(draws @ np.swapaxes(draws.conj(), 1, 2))
-            write(draws, start)
+            write(draws, block.start)
     ser.write_sidecar(
         args.out,
         _base_metadata(seed, params.m, params.r, args.n, params.cov.mat, started),
@@ -197,10 +195,9 @@ def cmd_verify(args) -> int:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
         if not checks:
             raise ValidationError("--checks is empty")
-    options = {name: value for name, value in (("n", args.n), ("level", args.level))
-               if value is not None}  # else run_suite's defaults
     sidecar = {}
-    results = run_suite(params, seed=seed, checks=checks, sidecar=sidecar, **options)
+    results = run_suite(params, seed=seed, checks=checks, sidecar=sidecar, n=args.n,
+                        level=args.level)
     entries = [
         {"check_name": name, "kind": outcome.kind, "statistic": outcome.statistic,
          "threshold": outcome.threshold, "verdict": outcome.verdict, "details": outcome.details}

@@ -51,8 +51,7 @@ MIN_CHECK_SAMPLES = 10000
 DEFAULT_SAMPLES = 100000
 MIN_KS_SAMPLES = 100
 
-DEFAULT_MIXTURE_SHAPE = 3.0
-DEFAULT_MIXTURE_RATE = 3.0
+MIXTURE_SHAPE = MIXTURE_RATE = 3.0  # general_class's Gamma(3, 3) weight
 
 # Order statistics per step of the KS scan: bounds its temporaries, not n.
 _KS_STRETCH = 1 << 14
@@ -213,28 +212,22 @@ def _kept(blocks: list[slice], staged) -> list[np.ndarray]:
     return whole
 
 
-def _skip_normals(params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator):
-    """The blocks of ``dist.sample_complex_matrix_normal_batch(params, n, rng)``, each with
-    the generator state it starts from.  Only the standard normals that call draws are
-    drawn, into one buffer the size of the largest block, and dropped: ``rng`` is left where
-    the call leaves it, and what it draws next comes where it would after the whole sample."""
+def _walked(params: ComplexMatrixNormalParams, n: int, rng: np.random.Generator):
+    """Walk ``rng`` past the normals that ``dist.sample_complex_matrix_normal_batch(params,
+    n, rng)`` draws, into one buffer the size of the largest block, and return ``replay``:
+    ``replay(stage)``, called once, is ``_kept`` of ``stage(block, z)`` for each block and
+    its draws ``z``, drawn again in turn from a copy of ``rng`` taken first: the call's own."""
     blocks = dist.blocks(n, params.m, params.r)
+    start = copy.deepcopy(rng)
     skipped = np.empty((max(b.stop - b.start for b in blocks), 2 * params.m, params.r))
-    marks = []
     for block in blocks:
-        marks.append((block, rng.bit_generator.state))
         rng.standard_normal(out=skipped[:block.stop - block.start])
-    return marks
 
+    def replay(stage):
+        return _kept(blocks, (stage(block, dist.sample_complex_matrix_normal_batch(
+            params, block.stop - block.start, start)) for block in blocks))
 
-def _replayed(params: ComplexMatrixNormalParams, marks, rng: np.random.Generator):
-    """Each block of ``marks`` with its normal draws, drawn again through the sampler from the
-    block's saved state on a copy of ``rng``; ``rng`` itself does not move."""
-    replay = copy.deepcopy(rng)
-    for block, state in marks:
-        replay.bit_generator.state = state
-        yield block, dist.sample_complex_matrix_normal_batch(
-            params, block.stop - block.start, replay)
+    return replay
 
 
 def _ks_subtests(laws: list[tuple[str, str]], uniforms: list[np.ndarray],
@@ -336,13 +329,10 @@ def normalization_check(params: CmacgParams, n: int, rng: np.random.Generator) -
 
 
 # unitary_invariance, corollary, general_class and normal_covariance draw after their
-# sample, and hold none of it: each first walks its sample's normals with _skip_normals,
-# then draws what follows the sample, in the order a whole sample would leave it, then
-# replays the sample a block at a time and keeps only the values its verdict needs.  The
-# blocks are ``dist.blocks(n, m, r)``, bounded in bytes as well as in draws, so neither
-# the walk's buffer nor a replayed block grows with m r.  A row that the orientation
-# flags is redrawn from ``rng``, which by then stands where the check's last draw ended,
-# so no redraw repeats a replayed normal.
+# sample and hold none of it: each walks the sample's normals with _walked, draws what
+# follows them, then replays the sample a block at a time and keeps only the values its
+# verdict needs.  A row that the orientation flags is redrawn from ``rng``, which by then
+# stands where the check's last draw ended, so no redraw repeats a replayed normal.
 
 
 def unitary_invariance_check(
@@ -359,7 +349,7 @@ def unitary_invariance_check(
     _require_samples("unitary_invariance", n)
     m, r = params.m, params.r
     normal_params = ComplexMatrixNormalParams(params.cov, r)
-    marks = _skip_normals(normal_params, n, rng)
+    replay = _walked(normal_params, n, rng)
     if unitary is None:
         unitary = dist.sample_uniform_stiefel_batch(ManifoldDims(r, r), 1, rng)[0]
     unitary = as_complex_matrix(unitary, "unitary")
@@ -369,7 +359,7 @@ def unitary_invariance_check(
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
     peaks = []
 
-    def stage(z):
+    def stage(_, z):
         frames = dist._orient_with_retry(
             z, lambda k: dist.sample_complex_matrix_normal_batch(normal_params, k, rng))
         # e^H H per frame, and e^H (H U) as its product with U; then H -> H U
@@ -379,8 +369,7 @@ def unitary_invariance_check(
         rotated = (frames.reshape(-1, r) @ unitary).reshape(-1, m, r)
         return _exact_law_cdfs(rotated, params.chol_inv, lefts, rights)
 
-    cdfs = _kept(dist.blocks(n, m, r),
-                 (stage(z) for _, z in _replayed(normal_params, marks, rng)))
+    cdfs = replay(stage)
     base, gap = np.max(peaks, axis=0)
     subtests = [_two_sample("pointwise identity of ||H^H e||^2 under H -> H U",
                             float(gap), 1e-10 * max(1.0, float(base)))]
@@ -406,54 +395,45 @@ def corollary_check(
     def redraw(count: int) -> np.ndarray:
         return b @ dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
 
-    marks = _skip_normals(normal_params, n, rng)
+    replay = _walked(normal_params, n, rng)
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
-    cdfs = _kept(dist.blocks(n, m, r), (
-        _exact_law_cdfs(dist._orient_with_retry(b @ z, redraw), target.chol_inv, lefts, rights)
-        for _, z in _replayed(normal_params, marks, rng)))
+    cdfs = replay(lambda _, z: _exact_law_cdfs(
+        dist._orient_with_retry(b @ z, redraw), target.chol_inv, lefts, rights))
     return _worst_subtest("corollary", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
 
 
 def general_class_check(
-    params: CmacgParams, n: int, rng: np.random.Generator,
-    mixture_shape: float | None = DEFAULT_MIXTURE_SHAPE, level: float = DEFAULT_LEVEL,
+    params: CmacgParams, n: int, rng: np.random.Generator, level: float = DEFAULT_LEVEL,
 ) -> CheckResult:
     """Orientations of scale-mixture draws follow CMACG(P).
 
-    Each normal draw is divided by the square root of an independent
-    Gamma(``mixture_shape``, ``DEFAULT_MIXTURE_RATE``) variable, producing a
-    draw whose density depends on the data only through the quadratic form
-    in the parameter inverse and is invariant under right unitary maps.
-    ``mixture_shape=None`` selects the degenerate mixture (weight one).  The
-    n weights, drawn after the normals, are the one value per draw held
-    while the sample is replayed.
+    Each normal draw is divided by the square root of an independent Gamma(3, 3) weight,
+    ``MIXTURE_SHAPE`` and ``MIXTURE_RATE``, producing a draw whose density depends on the
+    data only through the quadratic form in the parameter inverse and is invariant under
+    right unitary maps.  The n weights, drawn after the normals, are the one value per draw
+    held while the sample is replayed.
     """
     _require_samples("general_class", n)
-    if mixture_shape is not None and mixture_shape <= 0:
-        raise ValidationError(f"mixture shape must be positive, got {mixture_shape}")
     m, r = params.m, params.r
     normal_params = ComplexMatrixNormalParams(params.cov, r)
 
-    def weights(count: int):
-        if mixture_shape is None:
-            return None
-        return rng.gamma(shape=mixture_shape, scale=1.0 / DEFAULT_MIXTURE_RATE, size=count)
-
-    def mixed(z: np.ndarray, scale) -> np.ndarray:
-        if scale is not None:
-            z /= np.sqrt(scale)[:, None, None]
-        return z
+    def weights(count: int) -> np.ndarray:
+        return rng.gamma(shape=MIXTURE_SHAPE, scale=1.0 / MIXTURE_RATE, size=count)
 
     def redraw(count: int) -> np.ndarray:
         z = dist.sample_complex_matrix_normal_batch(normal_params, count, rng)
-        return mixed(z, weights(count))
+        z /= np.sqrt(weights(count))[:, None, None]
+        return z
 
-    marks = _skip_normals(normal_params, n, rng)
+    replay = _walked(normal_params, n, rng)
     scales = weights(n)
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
-    cdfs = _kept(dist.blocks(n, m, r), (_exact_law_cdfs(
-        dist._orient_with_retry(mixed(z, None if scales is None else scales[block]), redraw),
-        params.chol_inv, lefts, rights) for block, z in _replayed(normal_params, marks, rng)))
+
+    def stage(block, z):
+        z /= np.sqrt(scales[block])[:, None, None]
+        return _exact_law_cdfs(dist._orient_with_retry(z, redraw), params.chol_inv, lefts, rights)
+
+    cdfs = replay(stage)
     return _worst_subtest("general_class", _ks_subtests(_exact_laws(m, r), cdfs, level), n)
 
 
@@ -468,19 +448,18 @@ def normal_covariance_check(
     cancel itself out."""
     _require_samples("normal_covariance", n)
     m, r = params.m, params.r
-    marks = _skip_normals(params, n, rng)
+    replay = _walked(params, n, rng)
     inv_sqrt = linalg.hermitian_inv_sqrt(params.column_cov).mat
     lefts, rights = _direction_pairs(rng, DEFAULT_FUNCTIONALS, m, r)
 
-    def stage(z):
+    def stage(_, z):
         columns = inv_sqrt @ linalg._frame_columns(z)
         entries = _directions(columns, r, lefts, rights)[1]
         norms = (columns.real**2 + columns.imag**2).sum(axis=0)
         return [_gamma_cdf(entries.real**2 + entries.imag**2, 1), _arg_cdf(entries),
                 _gamma_cdf(norms[None], m)]
 
-    uniforms = _kept(dist.blocks(n, m, r),
-                     (stage(z) for _, z in _replayed(params, marks, rng)))
+    uniforms = replay(stage)
     laws = [("|e^H W f|^2", "Exp(1)"), ("arg(e^H W f)", "Uniform(-pi, pi]"),
             ("||w||^2 of each column", f"Gamma({m}, 1)")]
     return _worst_subtest("normal_covariance", _ks_subtests(laws, uniforms, level), n)
@@ -516,6 +495,9 @@ def select_checks(
         raise ValidationError(
             f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
+    repeated = sorted({name for name in selected if selected.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"repeated checks {repeated}; each runs at most once")
     _require_level(level)
     for name in selected:
         _require_samples(name, n)

@@ -80,7 +80,8 @@ class TestImportFootprint:
             "calls = []\n"
             "cli.run_suite = lambda *a, **k: calls.append(k) or []\n"
             "assert cli.main(['verify', '--out', 'r.json']) == 0\n"
-            "assert calls == [{'seed': 0, 'checks': None, 'sidecar': {}}], calls\n"
+            "assert calls == [{'seed': 0, 'checks': None, 'sidecar': {}, 'n': None,"
+            " 'level': None}], calls\n"
         )
         loaded = loaded_after_numpy(body, cwd=tmp_path)
         assert "cmacg.verify" not in loaded

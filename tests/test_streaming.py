@@ -76,11 +76,12 @@ class TestSampleChunks:
         # JSON and projections of wide draws encode slowly: beyond m = 3, one size only
         param = write_param(tmp_path, m)
         params = CmacgParams(ser.matrix_from_csv(open(param).read()), r)
-        out, chunk = str(tmp_path / "out"), 2 * dist.block_draws(m, r)  # two blocks a chunk
-        for n in around(chunk):
+        # one sampler call a block: n about one block and about two
+        out, size = str(tmp_path / "out"), dist.block_draws(m, r)
+        for n in sorted(set(around(size) + around(2 * size))):
             whole = sample_cmacg_batch(params, n, make_rng(n))
             cases = [([], ser.draws_to_csv)]
-            if m == 3 or n == chunk + 1:
+            if m == 3 or n == size + 1:
                 projections = hermitian_part(whole @ np.swapaxes(whole.conj(), 1, 2))
                 cases += [(["--format", "json"], ser.draws_to_json),
                           (["--as-projection"], lambda _: ser.draws_to_csv(projections))]

@@ -282,7 +282,9 @@ class TestWhenNotToFork:
         monkeypatch.setattr(os, "fork", no_fork)
         for argv, message in [(["--n", "9999"], "need n >= 10000, got 9999"),
                               (["--level", "2"], "level must be in (0, 1)"),
-                              (["--checks", "normalization,nope"], "unknown checks ['nope']")]:
+                              (["--checks", "normalization,nope"], "unknown checks ['nope']"),
+                              (["--checks", "corollary,normal_covariance,corollary"],
+                               "repeated checks ['corollary']")]:
             code, report, _, _, err = run_verify(tmp_path, capsys, argv)
             assert code == 2 and report is None and message in err
 
@@ -290,8 +292,8 @@ class TestWhenNotToFork:
         calls = []
         monkeypatch.setattr(workers, "_blas_thread_cap", lambda: calls.append(1))
         code, _, meta, _, _ = run_verify(tmp_path, capsys,
-                                         ["--checks", "normalization,normalization",
-                                          "--n", "2000"])
+                                         ["--checks", "normalization,unitary_invariance",
+                                          "--n", "10000"])
         assert (code, meta["workers"], calls) == (0, 1, [1])
 
 
