@@ -11,12 +11,12 @@ and ``serialization.read_draws`` the helper that decodes every other piece of a
 checks.
 
 Each check draws from its own stream, ``derive_rng(seed, lane)``, so a check's result does
-not depend on the process that runs it, and the report is the same serial or forked.  Each
-worker caps its own OpenBLAS at one thread: uncapped, two workers put twice as many BLAS
-threads as CPUs to work, and measured slower than one serial process.  The parent's BLAS
-setting is never touched.  OpenBLAS shuts its thread pool down around a fork
-(``pthread_atfork``), so a worker starts with none.  ``verify.run_suite`` stays serial, so
-a library caller never forks unasked.
+not depend on the process that runs it, and the report is the same serial or forked.  While
+a forked child lives, the parent holds OpenBLAS at one thread, and the child inherits it:
+uncapped, two processes put twice as many BLAS threads as CPUs to work, and a thread-count
+call made after a fork, which shuts OpenBLAS's pool down (``pthread_atfork``), starts a new
+pool whose idle thread busy-waits for about 0.13 s.  ``verify.run_suite`` stays serial, so a
+library caller never forks unasked.
 """
 
 from __future__ import annotations
@@ -58,18 +58,22 @@ def forked(work):
     """The read end of a pipe from a child forked to run ``work(pipe)``, ``pipe`` the
     buffered binary write end, or None where ``os.pipe`` or ``os.fork`` failed, so that the
     parent does that work itself.  A result the child did not finish writing reads as
-    truncated.  When the block ends, the child is killed if it still runs, and reaped."""
+    truncated.  The parent holds OpenBLAS at one thread from before the fork; when the block
+    ends, the child is killed if it still runs, reaped, and the count from before is set
+    back, so nested blocks set theirs back in reverse order."""
     parent, pid = os.getpid(), None
     try:
         read_end, write_end = os.pipe()
     except OSError:
         pass
     else:
+        release = _one_blas_thread()
         try:
             pid = os.fork()
         except OSError:
             os.close(read_end)
             os.close(write_end)
+            release()
     if pid is None:
         yield None
         return
@@ -83,6 +87,19 @@ def forked(work):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         pipe.close()
+        release()
+
+
+def _one_blas_thread():
+    """Cap OpenBLAS at one thread where a cap is found, and return the call that undoes it."""
+    cap = _blas_thread_cap()
+    if cap is None:
+        return lambda: None
+    threads = ctypes.CDLL(_umath_linalg.__file__)[cap.__name__.replace("set", "get")]
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    before = threads()
+    cap(1)
+    return functools.partial(cap, before)
 
 
 def _run_child(work, read_end, write_end, parent):
@@ -111,15 +128,15 @@ def _run_child(work, read_end, write_end, parent):
 def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
     """``verify.run_suite``'s results, one timed check at a time; ``n`` and ``level``
     default to its own.  Where two usable CPUs, two selected checks and a BLAS thread cap
-    are all there, the checks run on two forked workers, else serially.  ``sidecar``, if
-    given, receives ``n``, ``stages`` ({check: ms}) and ``workers``, the number of
-    processes that ran checks."""
+    are all there, the checks run on two workers ``forked`` at one BLAS thread, else
+    serially.  ``sidecar``, if given, receives ``n``, ``stages`` ({check: ms}) and
+    ``workers``, the number of processes that ran checks."""
     from . import verify
 
     n = verify.DEFAULT_SAMPLES if n is None else n
     level = verify.DEFAULT_LEVEL if level is None else level
     selected = verify.select_checks(checks, n, level)  # bad input never forks
-    cap = _blas_thread_cap() if two_cpus() and len(selected) >= 2 else None
+    forks = two_cpus() and len(selected) >= 2 and _blas_thread_cap() is not None
 
     def run(names):
         for name in names:
@@ -127,8 +144,7 @@ def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
             outcome = verify._run_check(name, params, n, seed, level)
             yield name, outcome, round(1000.0 * (time.perf_counter() - started), 3)
 
-    timed, workers = (list(run(selected)), 1) if cap is None else _on_two_workers(
-        cap, selected, run)
+    timed, workers = _on_two_workers(selected, run) if forks else (list(run(selected)), 1)
     if sidecar is not None:
         sidecar.update(n=n, stages={name: ms for name, _, ms in timed}, workers=workers)
     return [(name, outcome) for name, outcome, _ in timed]
@@ -148,18 +164,17 @@ def _blas_thread_cap():
     return None
 
 
-def _on_two_workers(cap, names, run):
-    """``run``'s items for ``names``, split between two forked workers each capped at one
-    BLAS thread, in the order of ``names``, and the number of processes that ran them.  A
-    group that cannot be forked runs in the parent.  The first ValidationError or
-    NumericalError in that order is raised, as a serial run raises it; a worker that ends
-    without a result is a NumericalError at its first check."""
+def _on_two_workers(names, run):
+    """``run``'s items for ``names`` in their order, split between two forked workers, and
+    the number of processes that ran them; a group that cannot be forked runs in the parent.
+    The first ValidationError or NumericalError in that order is raised, as a serial run
+    raises it; a worker that ends without a result is a NumericalError at its first check."""
     groups = ([i for i in range(len(names)) if i not in SECOND_WORKER],
               [i for i in range(len(names)) if i in SECOND_WORKER])
     slots = {}
     with contextlib.ExitStack() as stack:
         pipes = [stack.enter_context(forked(functools.partial(
-            _work, cap, run, [names[i] for i in group]))) for group in groups]
+            _work, run, [names[i] for i in group]))) for group in groups]
         for group, pipe in zip(groups, pipes):
             if pipe is None:
                 slots.update(zip(group, _results(run, [names[i] for i in group])))
@@ -190,8 +205,8 @@ def _results(run, names):
     return done
 
 
-def _work(cap, run, names, pipe):
-    """A verify worker: one BLAS thread, then ``_results`` pickled down the pipe; any
-    other exception leaves no result."""
-    cap(1)
+def _work(run, names, pipe):
+    """A verify worker: ``_results`` pickled down the pipe, on the one BLAS thread it
+    inherits from ``forked`` (a thread-count call of its own would start a spinning pool);
+    any other exception leaves no result."""
     pipe.write(pickle.dumps(_results(run, names)))

@@ -271,21 +271,6 @@ def _exact_law_cdfs(frames: np.ndarray, chol_inv: np.ndarray, lefts: np.ndarray,
     return cdfs + [_arg_cdf(entries)]
 
 
-def _exact_law_subtests(
-    frames: np.ndarray, chol_inv: np.ndarray, rng: np.random.Generator, level: float,
-    count: int,
-) -> list[CheckResult]:
-    """KS subtests of a CMACG(L L^H) sample in hand, an (n, m, r) stack, against the uniform
-    law's marginals after whitening, along ``count`` directions drawn first; the checks
-    run ``_exact_law_cdfs`` on their draws as they replay them."""
-    n, m, r = frames.shape
-    lefts, rights = _direction_pairs(rng, count, m, r)
-    blocks = dist.blocks(n, m, r)
-    cdfs = _kept(blocks, (_exact_law_cdfs(frames[block], chol_inv, lefts, rights)
-                          for block in blocks))
-    return _ks_subtests(_exact_laws(m, r), cdfs, level)
-
-
 def _worst_subtest(name: str, subtests: list[CheckResult], n: int) -> CheckResult:
     """The subtest with the worst margin, reported under the check's name."""
     worst = max(subtests, key=lambda s: s.margin)

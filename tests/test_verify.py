@@ -34,6 +34,18 @@ def diag_params(entries, r):
     return CmacgParams(np.diag(entries).astype(complex), r)
 
 
+def exact_law_subtests(frames, chol_inv, rng, level, count):
+    """KS subtests of a CMACG(L L^H) sample in hand, an (n, m, r) stack, against the uniform
+    law's marginals after whitening, along ``count`` directions drawn first: what each
+    exact-law check computes on the draws it replays, run here on frames held whole."""
+    n, m, r = frames.shape
+    lefts, rights = verify._direction_pairs(rng, count, m, r)
+    blocks = verify.dist.blocks(n, m, r)
+    cdfs = verify._kept(blocks, (verify._exact_law_cdfs(frames[block], chol_inv, lefts, rights)
+                                 for block in blocks))
+    return verify._ks_subtests(verify._exact_laws(m, r), cdfs, level)
+
+
 def ks_inputs(monkeypatch, frames, chol_inv, seed, n_functionals=1):
     """What each exact-law subtest of ``frames`` hands to its KS: {functional: (J, n) array}."""
     real, seen = verify._ks_uniform, {}
@@ -45,7 +57,7 @@ def ks_inputs(monkeypatch, frames, chol_inv, seed, n_functionals=1):
         return real(u, level, description)
 
     monkeypatch.setattr(verify, "_ks_uniform", recording)
-    verify._exact_law_subtests(frames, chol_inv, make_rng(seed), 0.01, n_functionals)
+    exact_law_subtests(frames, chol_inv, make_rng(seed), 0.01, n_functionals)
     monkeypatch.setattr(verify, "_ks_uniform", real)
     return {functional: np.array(values) for functional, values in seen.items()}
 
@@ -463,7 +475,7 @@ class TestExactLaw:
         params = diag_params([3.0, 2.0, 1.0], 2)
         frames = verify.dist.sample_cmacg_batch(params, 20000, make_rng(50))
         verdicts = [
-            [s.passed for s in verify._exact_law_subtests(frames, whitener, make_rng(51), 0.01, 3)]
+            [s.passed for s in exact_law_subtests(frames, whitener, make_rng(51), 0.01, 3)]
             for whitener in (params.chol_inv, np.eye(3))
         ]
         assert all(verdicts[0])

@@ -2,7 +2,9 @@
 serial run, and no worker left behind on any path.  A group of checks that cannot be
 forked runs in the parent.
 
-Patching ``workers._blas_thread_cap`` to return None forces the serial path.
+Patching ``workers._blas_thread_cap`` to return None forces the serial path.  While a
+forked child lives, the parent holds OpenBLAS at one thread and the child runs on that one
+thread alone.
 """
 
 import errno
@@ -31,6 +33,29 @@ requires_workers = pytest.mark.skipif(
     or workers._blas_thread_cap() is None,
     reason="the forked path needs os.fork, two usable CPUs and an OpenBLAS thread cap",
 )
+
+
+on_linux_with_a_cap = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or workers._blas_thread_cap() is None,
+    reason="counting OS threads needs /proc/self/task, and capping OpenBLAS a thread cap",
+)
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS whose cap ``workers._blas_thread_cap`` finds."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    cap = workers._blas_thread_cap()
+    return getattr(ctypes.CDLL(_umath_linalg.__file__), cap.__name__.replace("set", "get"))()
+
+
+def os_threads_after_a_threaded_gemm():
+    """This process's OS threads once a GEMM of a size OpenBLAS threads has run."""
+    a = np.ones((512, 512))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
 
 
 def run_verify(tmp_path, capsys, argv, serial=False, name="report.json"):
@@ -82,15 +107,9 @@ class TestSameOutputAsSerial:
             assert report.read_bytes() == serial
 
     def test_parent_blas_threads_untouched(self, tmp_path, capsys):
-        import ctypes
-
-        from numpy.linalg import _umath_linalg
-
-        cap = workers._blas_thread_cap()
-        threads = getattr(ctypes.CDLL(_umath_linalg.__file__), cap.__name__.replace("set", "get"))
-        before = threads()
+        before = blas_threads()
         assert run_verify(tmp_path, capsys, ["--n", "10000"])[2]["workers"] == 2
-        assert threads() == before
+        assert blas_threads() == before
 
     def test_failed_verdict_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
         # unitary_invariance runs in the second worker
@@ -219,8 +238,10 @@ class TestFailedFork:
             monkeypatch.setattr(os, "pipe", lambda: fails(pipe))
         else:
             monkeypatch.setattr(os, "fork", lambda: fails(fork))
+        before = blas_threads()
         code, report, meta, out, err = run_verify(tmp_path, capsys, ["--n", "10000"])
         assert_no_child_left()
+        assert blas_threads() == before
         assert len(calls) == 2
         assert (code, report, out, err) == (0, serial[1], serial[3], "")
         assert meta["workers"] == workers_used
@@ -263,6 +284,43 @@ def test_workers_die_with_a_killed_parent(tmp_path):
     while any(map(running, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(running, pids))
+
+
+@on_linux_with_a_cap
+class TestOneBlasThreadWhileForked:
+    """A thread-count call made after a fork starts an OpenBLAS pool whose idle thread
+    busy-waits, so no child makes one: it inherits the one thread its parent holds."""
+
+    def test_child_runs_a_threaded_gemm_on_one_os_thread(self):
+        before = blas_threads()
+
+        def work(pipe):
+            pipe.write(str(os_threads_after_a_threaded_gemm()).encode())
+
+        with workers.forked(work) as pipe:
+            assert int(pipe.read()) == 1
+            assert blas_threads() == 1
+        assert_no_child_left()
+        assert blas_threads() == before
+
+    @requires_workers
+    def test_verify_workers_run_on_one_os_thread(self, monkeypatch):
+        def counting(*args, **kwargs):
+            return cmacg.verify.CheckResult(
+                "counted", "two_sample", 0.0, 1.0, "pass",
+                {"pid": os.getpid(), "os_threads": os_threads_after_a_threaded_gemm()})
+
+        names = ("normalization", "unitary_invariance", "corollary")
+        for name in names:
+            monkeypatch.setattr(cmacg.verify, f"{name}_check", counting)
+        params = dist.CmacgParams(np.diag([3.0, 2.0, 1.0]).astype(complex), 2)
+        before, sidecar = blas_threads(), {}
+        results = workers.run_checks(params, checks=names, n=10000, sidecar=sidecar)
+        assert_no_child_left()
+        assert sidecar["workers"] == 2 and blas_threads() == before
+        details = [outcome.details for _, outcome in results]
+        assert len({d["pid"] for d in details} | {os.getpid()}) == 3
+        assert [d["os_threads"] for d in details] == [1, 1, 1]
 
 
 class TestWhenNotToFork:
