@@ -29,6 +29,7 @@ import pickle
 import signal
 import sys
 import time
+from resource import RUSAGE_SELF, getrusage
 
 from numpy.linalg import _umath_linalg
 
@@ -129,8 +130,8 @@ def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
     """``verify.run_suite``'s results, one timed check at a time; ``n`` and ``level``
     default to its own.  Where two usable CPUs, two selected checks and a BLAS thread cap
     are all there, the checks run on two workers ``forked`` at one BLAS thread, else
-    serially.  ``sidecar``, if given, receives ``n``, ``stages`` ({check: ms}) and
-    ``workers``, the number of processes that ran checks."""
+    serially.  ``sidecar``, if given, receives ``n``, ``stages`` ({check: ms}), ``faults``
+    ({check: minor page faults}) and ``workers``, the number of processes that ran checks."""
     from . import verify
 
     n = verify.DEFAULT_SAMPLES if n is None else n
@@ -140,14 +141,16 @@ def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
 
     def run(names):
         for name in names:
-            started = time.perf_counter()
+            started, faults = time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt
             outcome = verify._run_check(name, params, n, seed, level)
-            yield name, outcome, round(1000.0 * (time.perf_counter() - started), 3)
+            yield (name, outcome, round(1000.0 * (time.perf_counter() - started), 3),
+                   getrusage(RUSAGE_SELF).ru_minflt - faults)
 
     timed, workers = _on_two_workers(selected, run) if forks else (list(run(selected)), 1)
     if sidecar is not None:
-        sidecar.update(n=n, stages={name: ms for name, _, ms in timed}, workers=workers)
-    return [(name, outcome) for name, outcome, _ in timed]
+        sidecar.update(n=n, stages={name: ms for name, _, ms, _ in timed},
+                       faults={name: faults for name, *_, faults in timed}, workers=workers)
+    return [(name, outcome) for name, outcome, *_ in timed]
 
 
 def _blas_thread_cap():

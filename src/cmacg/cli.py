@@ -21,6 +21,10 @@ and ``density`` decodes a CSV input of several pieces with a forked helper,
 both through ``_workers.forked``; the sidecar records ``workers``, and the
 data bytes are those of a serial run.
 
+``run``, the process entry, sets glibc's mmap and trim thresholds, which forked children
+inherit, so that a block's freed temporaries stay for the next, then runs ``main`` and
+freezes the collector for finalization; ``main(argv)`` touches neither.
+
 Every run is reproducible from one 64-bit master seed (flag ``--seed``,
 else the ``CMACG_DEFAULT_SEED`` environment variable, else 0); the
 effective seed is echoed in the metadata sidecar written next to each
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import gc
 import os
 import sys
 import time
@@ -56,6 +62,12 @@ EXIT_NUMERICAL_ERROR = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "CMACG_DEFAULT_SEED"
+
+# glibc's mallopt options and the values ``run`` sets: setting one turns off glibc's
+# adjustment of the other.  1 MiB is above every per-block temporary (``BLOCK_BYTES`` at
+# most) and below what verify keeps over a check; 4 MiB bounds the freed heap a process keeps.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 1 << 20, 4 << 20
 
 def run_suite(*args, **kwargs):
     """``_workers.run_checks``, imported on call: only ``verify`` loads the harness."""
@@ -307,16 +319,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+
+
+def run() -> int:
+    """``main()`` as a process runs it: glibc's thresholds set first where libc has
+    ``mallopt``, and the collector frozen after, however ``main`` ends."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

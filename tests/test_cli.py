@@ -590,3 +590,137 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "cmacg" in proc.stdout
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, option, value):
+        self.calls.append((option, value))
+        return 1
+
+
+@pytest.fixture
+def entry(monkeypatch):
+    """The entry's seams patched: a fake Linux libc, and a ``gc.freeze`` that counts."""
+    libc, frozen = FakeLibc(), []
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    monkeypatch.setattr(cli, "ctypes", type("FakeCtypes", (), {"CDLL": lambda name: libc}))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(1))
+    return libc, frozen
+
+
+class TestProcessEntry:
+    THRESHOLDS = [(cli.M_MMAP_THRESHOLD, 1 << 20), (cli.M_TRIM_THRESHOLD, 4 << 20)]
+
+    def test_thresholds_before_main_and_freeze_after(self, entry, monkeypatch):
+        libc, frozen = entry
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append((list(libc.calls), len(frozen))) or 7)
+        assert cli.run() == 7
+        assert seen == [(self.THRESHOLDS, 0)] and frozen == [1]
+        assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)
+
+    def test_freezes_when_argparse_exits(self, entry, monkeypatch, capsys):
+        libc, frozen = entry
+        monkeypatch.setattr(cli.sys, "argv", ["cmacg", "sample"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 2 and "are required: --r" in capsys.readouterr().err
+        assert libc.calls == self.THRESHOLDS and frozen == [1]
+
+    def test_main_touches_neither(self, entry, tmp_path):
+        libc, frozen = entry
+        out = str(tmp_path / "draws.csv")
+        assert cli.main(["sample", "--uniform", "--m", "3", "--r", "2", "--n", "5",
+                         "--out", out]) == 0
+        assert cli.main(["density", "--uniform", "--m", "3", "--input", out,
+                         "--out", str(tmp_path / "dens.csv")]) == 0
+        assert (libc.calls, frozen) == ([], [])
+
+    @pytest.mark.parametrize("platform, libc", [("linux", object()), ("darwin", None)],
+                             ids=["no-mallopt", "not-linux"])
+    def test_runs_without_mallopt(self, monkeypatch, tmp_path, platform, libc):
+        def cdll(name):
+            assert platform == "linux", "looked for mallopt off Linux"
+            return libc
+
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        monkeypatch.setattr(cli, "ctypes", type("FakeCtypes", (), {"CDLL": cdll}))
+        monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+        out = tmp_path / "draws.csv"
+        monkeypatch.setattr(cli.sys, "argv", ["cmacg", "sample", "--uniform", "--m", "3",
+                                              "--r", "2", "--n", "5", "--out", str(out)])
+        assert cli.run() == 0
+        assert out.read_text().count("\n") == 15  # m rows a draw
+
+    def test_mmap_threshold_above_every_block(self):
+        from cmacg.distributions import BLOCK_BYTES
+
+        assert BLOCK_BYTES < cli.MMAP_THRESHOLD_BYTES < cli.TRIM_THRESHOLD_BYTES
+
+    def test_module_and_script_run_the_entry(self, monkeypatch):
+        import runpy
+
+        monkeypatch.setattr(cli, "run", lambda: 5)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cmacg", run_name="__main__")
+        assert exc.value.code == 5
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+            assert 'cmacg = "cmacg.cli:run"' in handle.read()
+
+
+def run_module(tmp_path, *argv):
+    """Exit code, stdout and stderr of ``python -m cmacg argv`` in ``tmp_path``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "cmacg", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestModuleExit:
+    """A fresh ``python -m cmacg`` leaves every output whole, whatever its exit code."""
+
+    def test_verify_exit_0(self, tmp_path, capsys):
+        argv = ["verify", "--checks", "normalization,normal_covariance", "--n", "10000",
+                "--seed", "1"]
+        code, out, err = run_module(tmp_path, *argv, "--out", "fresh.json")
+        inproc = str(tmp_path / "inproc.json")
+        assert (code, err) == (cli.main([*argv, "--out", inproc]), "") == (0, "")
+        assert out == capsys.readouterr().out and out.count("\n") == 2
+        assert read_bytes(tmp_path / "fresh.json") == read_bytes(inproc)
+        meta = json.loads((tmp_path / "fresh.json.meta.json").read_text())
+        assert list(meta["stages"]) == list(meta["faults"]) == ["normal_covariance",
+                                                                 "normalization"]
+
+    def test_sample_and_density_exit_0(self, tmp_path):
+        assert run_module(tmp_path, "sample", "--uniform", "--m", "3", "--r", "2", "--n",
+                          "3000", "--seed", "3", "--out", "draws.csv") == (0, "", "")
+        assert run_module(tmp_path, "density", "--uniform", "--m", "3", "--input", "draws.csv",
+                          "--out", "dens.csv") == (0, "", "")
+        assert (tmp_path / "dens.csv").read_text().count("\n") == 3000
+        for name in ("draws.csv", "dens.csv"):
+            assert json.loads((tmp_path / (name + ".meta.json")).read_text())["n"] == 3000
+
+    def test_input_error_exit_2(self, tmp_path):
+        code, out, err = run_module(tmp_path, "density", "--uniform", "--m", "3", "--input",
+                                    "missing.csv", "--out", "dens.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "missing.csv" in err and err.count("\n") == 1
+        assert not (tmp_path / "dens.csv").exists()
+
+    def test_numerical_error_exit_3(self, tmp_path):
+        rng = np.random.default_rng(28)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        (tmp_path / "A.csv").write_text(ser.matrix_to_csv(g @ g.conj().T + 0.5 * np.eye(4)))
+        code, out, err = run_module(tmp_path, "sqrt", "--input", "A.csv", "--out", "S.csv",
+                                    "--max-iter", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not (tmp_path / "S.csv").exists()

@@ -89,6 +89,7 @@ class TestSameOutputAsSerial:
         assert forked[1] == serial[1]
         assert forked[3] == serial[3] and forked[4] == serial[4] == ""
         assert list(forked[2]["stages"]) == list(serial[2]["stages"])
+        assert list(forked[2]["faults"]) == list(serial[2]["stages"])
 
     def test_report_identical_under_blas_thread_settings(self, tmp_path, capsys):
         _, serial, *_ = run_verify(tmp_path, capsys, ["--n", "10000"], serial=True)
@@ -361,7 +362,9 @@ class TestVerifySidecar:
             tmp_path, capsys, ["--checks", "normal_covariance,normalization", "--n", "10000"])
         assert code == 0
         assert set(meta) == {"seed", "m", "r", "n", "param_sha256", "tool_version",
-                             "wall_time_ms", "stages", "workers"}
+                             "wall_time_ms", "stages", "faults", "workers"}
         assert meta["n"] == 10000 and meta["workers"] in (1, 2)
-        assert list(meta["stages"]) == ["normal_covariance", "normalization"]
+        assert list(meta["stages"]) == list(meta["faults"]) == ["normal_covariance",
+                                                                 "normalization"]
         assert all(ms > 0 for ms in meta["stages"].values())
+        assert all(isinstance(count, int) and count >= 0 for count in meta["faults"].values())
