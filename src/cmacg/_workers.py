@@ -1,14 +1,16 @@
-"""Forked processes: the package's one fork path, ``forked``, and the checks of
-``cmacg verify`` on two forked workers where that is possible.
+"""Forked processes: the package's one fork path, ``forked``, and its one shape of helper,
+``helper``, through which ``cmacg verify`` runs its checks and ``cmacg density`` decodes a
+CSV input of several pieces.
 
 ``forked`` forks a child that runs a function writing to a pipe, and gives the parent the
 pipe's read end, or None where the pipe or the fork fails, so that the parent does that
 work itself.  However the parent's block ends, the child is killed if it still runs, and
 reaped.  Fork, not spawn: a child skips the interpreter's start-up, and it inherits every
-module attribute the parent patched.  ``cmacg verify`` forks its two workers through it,
-and ``serialization.read_draws`` the helper that decodes every other piece of a
-``cmacg density`` CSV input.  This module loads the harness, ``verify``, only to run
-checks.
+module attribute the parent patched.  ``helper`` forks a child through it that takes every
+other item of a sequence, and the parent computes whatever the child does not deliver: a
+failed fork, an error, a child that died.  ``verify`` forks one helper per parity of the
+check positions and only reads; ``serialization.read_draws`` forks one for the odd pieces
+and decodes the even ones.  This module loads the harness, ``verify``, only to run checks.
 
 Each check draws from its own stream, ``derive_rng(seed, lane)``, so a check's result does
 not depend on the process that runs it, and the report is the same serial or forked.  While
@@ -42,9 +44,6 @@ BLAS_THREAD_CAPS = (
     "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
-# Positions in the selected checks that the second verify worker runs; the first runs the
-# rest.  For the default checks each half takes about half the time.
-SECOND_WORKER = (1, 2)
 PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for this process when its parent dies
 
 
@@ -126,30 +125,70 @@ def _run_child(work, read_end, write_end, parent):
         os._exit(status)
 
 
+@contextlib.contextmanager
+def helper(fn, items, parity, fork=True):
+    """A helper ``forked``, where ``fork`` is true, to run ``fn`` on the items at positions
+    of ``parity`` (0 even, 1 odd); yields whether it was forked and the pairs (item, result)
+    of every item in order.  ``result`` is what the helper sent for its item, else None,
+    and then the caller computes that item itself.  The helper sends each result
+    as soon as it is made, and None where ``fn`` raised a ValidationError or
+    NumericalError, so that the caller raises it in its place; once the helper has ended,
+    every result is None.  Each process iterates ``items`` itself."""
+    def work(pipe):
+        try:
+            for k, item in enumerate(items):
+                if k % 2 == parity:
+                    try:
+                        result = fn(item)
+                    except (ValidationError, NumericalError):  # the caller raises it again
+                        result = None
+                    pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                    pipe.flush()
+        except (ValidationError, NumericalError):  # from ``items``: the caller meets it too
+            pass
+
+    def pairs(pipe):
+        for k, item in enumerate(items):
+            result = None
+            if pipe is not None and k % 2 == parity:
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the helper ended
+                    pipe = None
+            yield item, result
+
+    with forked(work) if fork else contextlib.nullcontext() as pipe:
+        yield pipe is not None, pairs(pipe)
+
+
 def run_checks(params, seed=0, checks=None, sidecar=None, n=None, level=None):
     """``verify.run_suite``'s results, one timed check at a time; ``n`` and ``level``
     default to its own.  Where two usable CPUs, two selected checks and a BLAS thread cap
-    are all there, the checks run on two workers ``forked`` at one BLAS thread, else
-    serially.  ``sidecar``, if given, receives ``n``, ``stages`` ({check: ms}), ``faults``
-    ({check: minor page faults}) and ``workers``, the number of processes that ran checks."""
+    are all there, two ``helper``s at one BLAS thread run the checks at even and at odd
+    positions, and this process only reads, running any check they do not deliver; else
+    it runs them serially.  ``sidecar``, if given, receives ``n``, ``stages`` ({check:
+    ms}), ``faults`` ({check: minor page faults}) and ``workers``, 2 where a helper was
+    forked, else 1."""
     from . import verify
 
     n = verify.DEFAULT_SAMPLES if n is None else n
     level = verify.DEFAULT_LEVEL if level is None else level
     selected = verify.select_checks(checks, n, level)  # bad input never forks
-    forks = two_cpus() and len(selected) >= 2 and _blas_thread_cap() is not None
+    fork = two_cpus() and len(selected) >= 2 and _blas_thread_cap() is not None
 
-    def run(names):
-        for name in names:
-            started, faults = time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt
-            outcome = verify._run_check(name, params, n, seed, level)
-            yield (name, outcome, round(1000.0 * (time.perf_counter() - started), 3),
-                   getrusage(RUSAGE_SELF).ru_minflt - faults)
+    def run(name):
+        started, faults = time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt
+        outcome = verify._run_check(name, params, n, seed, level)
+        return (name, outcome, round(1000.0 * (time.perf_counter() - started), 3),
+                getrusage(RUSAGE_SELF).ru_minflt - faults)
 
-    timed, workers = _on_two_workers(selected, run) if forks else (list(run(selected)), 1)
+    with helper(run, selected, 0, fork) as (even, evens), \
+            helper(run, selected, 1, fork) as (odd, odds):
+        timed = [done or other or run(name) for (name, done), (_, other) in zip(evens, odds)]
     if sidecar is not None:
         sidecar.update(n=n, stages={name: ms for name, _, ms, _ in timed},
-                       faults={name: faults for name, *_, faults in timed}, workers=workers)
+                       faults={name: faults for name, *_, faults in timed},
+                       workers=2 if even or odd else 1)
     return [(name, outcome) for name, outcome, *_ in timed]
 
 
@@ -165,51 +204,3 @@ def _blas_thread_cap():
             cap.argtypes, cap.restype = [ctypes.c_int], None
             return cap
     return None
-
-
-def _on_two_workers(names, run):
-    """``run``'s items for ``names`` in their order, split between two forked workers, and
-    the number of processes that ran them; a group that cannot be forked runs in the parent.
-    The first ValidationError or NumericalError in that order is raised, as a serial run
-    raises it; a worker that ends without a result is a NumericalError at its first check."""
-    groups = ([i for i in range(len(names)) if i not in SECOND_WORKER],
-              [i for i in range(len(names)) if i in SECOND_WORKER])
-    slots = {}
-    with contextlib.ExitStack() as stack:
-        pipes = [stack.enter_context(forked(functools.partial(
-            _work, run, [names[i] for i in group]))) for group in groups]
-        for group, pipe in zip(groups, pipes):
-            if pipe is None:
-                slots.update(zip(group, _results(run, [names[i] for i in group])))
-        for group, pipe in zip(groups, pipes):
-            try:
-                slots.update(zip(group, pickle.loads(pipe.read()) if pipe else ()))
-            except (EOFError, pickle.UnpicklingError):  # the worker ended without a result
-                pass
-    for i in range(len(names)):
-        if i not in slots:
-            lost = groups[1] if i in SECOND_WORKER else groups[0]
-            raise NumericalError(f"the verify worker for checks "
-                                 f"{', '.join(names[j] for j in lost)} ended without a result")
-        if isinstance(slots[i], Exception):
-            raise slots[i]
-    return [slots[i] for i in range(len(names))], 2 if any(pipes) else 1
-
-
-def _results(run, names):
-    """``run(names)``'s items, and the ValidationError or NumericalError that stopped it
-    if one did."""
-    done = []
-    try:
-        for item in run(names):
-            done.append(item)
-    except (ValidationError, NumericalError) as exc:
-        done.append(exc)
-    return done
-
-
-def _work(run, names, pipe):
-    """A verify worker: ``_results`` pickled down the pipe, on the one BLAS thread it
-    inherits from ``forked`` (a thread-count call of its own would start a spinning pool);
-    any other exception leaves no result."""
-    pipe.write(pickle.dumps(_results(run, names)))

@@ -16,10 +16,11 @@ values its verdict needs.  A block is one of ``distributions.blocks``: at
 most ``BLOCK_DRAWS`` draws and at most ``BLOCK_BYTES`` of draw values, so
 memory does not grow with m r either.
 Every input file is opened and decoded by ``serialization``, not here.
-Where two CPUs are usable, ``verify`` runs its checks on two forked workers
-and ``density`` decodes a CSV input of several pieces with a forked helper,
-both through ``_workers.forked``; the sidecar records ``workers``, and the
-data bytes are those of a serial run.
+Where two CPUs are usable, ``verify`` runs its checks on two forked helpers,
+one per parity of the check positions, and ``density`` decodes the odd pieces
+of a CSV input of several pieces with one, both through ``_workers.helper``;
+whatever a helper does not deliver runs in this process, the sidecar records
+``workers``, and the data bytes and messages are those of a serial run.
 
 ``run``, the process entry, sets glibc's mmap and trim thresholds, which forked children
 inherit, so that a block's freed temporaries stay for the next, then runs ``main`` and

@@ -16,8 +16,9 @@ the line at a time, decoded as UTF-8.  ``read_draws`` decodes a draws file
 piece by piece; ``read_text`` joins the pieces of a parameter, ``sqrt`` or
 JSON input.  A piece of a draws CSV is decoded on its own (``_decode_piece``),
 then passed through the cursor in file order (``draws_from_csv``), so a
-forked helper (``_workers.forked``) can decode every other piece of a file of
-several pieces while this process decodes the rest.
+forked helper (``_workers.helper``) can decode the odd pieces of a file of
+several pieces while this process decodes the rest, and any the helper does
+not deliver.
 
 JSON layout: a draw is an m-by-r nesting of two-element [re, im] lists,
 row-major; files hold {"draws": [...]} or {"log_densities": [...]} or
@@ -36,7 +37,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import warnings
 
 import numpy as np
@@ -162,16 +162,13 @@ class CsvCursor:
     the next piece may continue.  Once rows of a second width appear, the rest
     of the file is only parsed, so that a non-numeric line anywhere is named
     first, and ``widths`` gathers every width for the error the end raises.
-    ``decoded`` holds the next piece's ``_decode_piece`` result when another
-    process has made it, else None.
     """
 
-    __slots__ = ("lines", "draws", "height", "rows", "widths", "decoded")
+    __slots__ = ("lines", "draws", "height", "rows", "widths")
 
     def __init__(self):
         self.lines = self.draws = self.height = 0
-        self.rows = None  # the held draw's rows, (k, width)
-        self.widths = self.decoded = None
+        self.rows = self.widths = None  # rows: the held draw's rows, (k, width)
 
 
 def _decode_piece(text: str, path_hint: str):
@@ -184,7 +181,7 @@ def _decode_piece(text: str, path_hint: str):
 
 
 def draws_from_csv(text: str, path_hint: str = "draws file",
-                   cursor: CsvCursor | None = None) -> np.ndarray:
+                   cursor: CsvCursor | None = None, decoded=None) -> np.ndarray:
     """Parse stacked draws back into an (n, m, r) complex array.
 
     Without ``cursor`` the text is the whole file.  With one it is the next
@@ -192,12 +189,12 @@ def draws_from_csv(text: str, path_hint: str = "draws file",
     ``draw_index`` and the width and height checks count from the pieces
     before it, so any one fault reads as it does in a whole read.  A draw
     that may go on into the next piece is held back, and returned with that
-    piece or the end.  The piece is decoded by ``_decode_piece``, unless the
-    cursor holds its decode already; the rest is the cursor's sequential step.
+    piece or the end.  The piece is decoded by ``_decode_piece``, unless
+    ``decoded`` holds its decode already; the rest is the cursor's sequential step.
     """
     last = cursor is None or not text
     cursor = CsvCursor() if cursor is None else cursor
-    first_line, decoded, cursor.decoded = cursor.lines, cursor.decoded, None
+    first_line = cursor.lines
     width = None if cursor.rows is None else cursor.rows.shape[1]
     try:
         data, count = decoded or _decode_piece(text, path_hint)
@@ -324,59 +321,30 @@ def read_draws(path: str, fmt: str, sidecar: dict | None = None):
     """The draws of a ``density`` input, as arrays: a CSV file decoded a piece at a time,
     each piece's draws as one array, then its end; a JSON document read and decoded whole.
     A CSV file of more than one ``READ_BYTES`` piece, where this process can fork and has
-    two usable CPUs, is decoded on two: a forked helper decodes every other piece, and this
-    process the rest, and runs the cursor over every piece in file order.  A piece that the
-    helper cannot decode, and every piece after the helper ends without its result, is
-    decoded here, so the draws and every error are those of a serial read.  ``sidecar``,
-    if given, receives ``workers``, the number of processes that decode."""
+    two usable CPUs, is decoded on two: a ``_workers.helper`` decodes the odd pieces, and
+    this process the rest, and runs the cursor over every piece in file order.  A piece
+    the helper does not deliver is decoded here, so the draws and every error are those of
+    a serial read.  ``sidecar``, if given, receives ``workers``, the number of processes
+    that decode."""
     if fmt == "json":
         if sidecar is not None:
             sidecar["workers"] = 1
         yield draws_from_json(read_text(path), path_hint=path)
         return
-    with _csv_helper(path) as helper:
-        if sidecar is not None:
-            sidecar["workers"] = 1 if helper is None else 2
-        cursor = CsvCursor()
-        for k, text in enumerate(_read_pieces(path)):
-            if k % 2 and helper is not None:
-                try:
-                    cursor.decoded = pickle.load(helper)
-                except (EOFError, pickle.UnpicklingError):  # the helper ended
-                    helper = None
-            yield draws_from_csv(text, path, cursor)
-        yield draws_from_csv("", path, cursor)
+    from . import _workers
 
-
-def _csv_helper(path: str):
-    """``_workers.forked`` for a helper that decodes every other piece of ``path``, or no
-    helper where it cannot pay: a file of one piece, no fork, one usable CPU."""
     try:
-        pieces = os.path.getsize(path) > READ_BYTES
+        several = os.path.getsize(path) > READ_BYTES
     except OSError:  # _read_pieces names it
-        pieces = False
-    if pieces:
-        from . import _workers
-
-        if _workers.two_cpus():
-            return _workers.forked(functools.partial(_decode_odd_pieces, path))
-    return contextlib.nullcontext()
-
-
-def _decode_odd_pieces(path: str, pipe) -> None:
-    """The helper's work: each odd-numbered piece's ``_decode_piece`` result, or None if it
-    raises, pickled down ``pipe`` as soon as it is made.  A file it cannot read ends it."""
-    try:
-        for k, text in enumerate(_read_pieces(path)):
-            if k % 2:
-                try:
-                    decoded = _decode_piece(text, path)
-                except ValidationError:  # the parent decodes it again and raises
-                    decoded = None
-                pipe.write(pickle.dumps(decoded, pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
-    except ValidationError:
-        pass
+        several = False
+    with _workers.helper(lambda text: _decode_piece(text, path), _read_pieces(path), 1,
+                         several and _workers.two_cpus()) as (forked, pieces):
+        if sidecar is not None:
+            sidecar["workers"] = 2 if forked else 1
+        cursor = CsvCursor()
+        for text, decoded in pieces:
+            yield draws_from_csv(text, path, cursor, decoded)
+        yield draws_from_csv("", path, cursor)
 
 
 def matrix_to_json(mat: np.ndarray) -> str:

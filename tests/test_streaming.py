@@ -5,7 +5,9 @@ the same bytes and messages.  ``verify`` works through its sample a block at a t
 
 import errno
 import json
+import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -284,6 +286,71 @@ class TestCarriageReturns:
         monkeypatch.setattr(ser, "READ_BYTES", first + 1)
         pieces = list(ser._read_pieces(str(path)))
         assert pieces[0] == text[:first + 2] and not pieces[1].startswith("\n")
+
+
+class TestDifferentialReader:
+    """A seeded differential test of the CSV reader.  Random draws files, made with the
+    standard library alone, end their lines in LF, CRLF or a lone CR and hold one fault
+    each.  Read in pieces of a few bytes, forked and serially, they give the output bytes,
+    the message and the exit code of a whole-file read."""
+
+    ENDINGS = ["\n", "\r\n", "\r"]
+    FAULTS = ["bad_token", "ragged_row", "non_utf8_byte", "no_last_newline", "blank_lines"]
+    PARAM = "3,0,0,0,0,0\n0,0,2,0,0,0\n0,0,0,0,1,0\n"  # diag(3, 2, 1)
+
+    @staticmethod
+    def frame(rng, m=3, r=2):
+        """The rows of a semi-unitary m x r frame: Gram-Schmidt on complex normal columns."""
+        columns = []
+        for _ in range(r):
+            z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
+            for q in columns:
+                dot = sum(a.conjugate() * b for a, b in zip(q, z))
+                z = [b - dot * a for a, b in zip(q, z)]
+            norm = math.sqrt(sum(abs(b) ** 2 for b in z))
+            columns.append([b / norm for b in z])
+        return zip(*columns)
+
+    def draws_file(self, rng, end, fault):
+        lines = [",".join([str(k)] + [f"{c.real!r},{c.imag!r}" for c in row])
+                 for k in range(rng.randint(20, 60)) for row in self.frame(rng)]
+        at = rng.randrange(len(lines))
+        if fault == "bad_token":
+            cells = lines[at].split(",")
+            cells[rng.randrange(len(cells))] = rng.choice(["abc", "1..5", "", "0x1p3", "--2"])
+            lines[at] = ",".join(cells)
+        elif fault == "ragged_row":
+            lines[at] += ",0"
+        elif fault == "blank_lines":
+            for _ in range(rng.randint(1, 5)):
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t "]))
+        data = "".join(line + end for line in lines).encode("ascii")
+        if fault == "no_last_newline":
+            return data[:-len(end)]
+        if fault == "non_utf8_byte":
+            where = rng.randrange(len(data) + 1)
+            return data[:where] + rng.choice([b"\xff", b"\x80", b"\xe2\x82"]) + data[where:]
+        return data
+
+    @pytest.mark.parametrize("seed", range(15))  # each line end with each fault
+    def test_pieces_read_as_the_whole_file(self, tmp_path, monkeypatch, capsys, decoders,
+                                           seed):
+        rng = random.Random(seed)
+        fault = self.FAULTS[seed % 5]
+        path, param = tmp_path / "frames.csv", tmp_path / "P.csv"
+        path.write_bytes(self.draws_file(rng, self.ENDINGS[seed % 3], fault))
+        param.write_text(self.PARAM)
+
+        def density(piece_bytes, name):
+            monkeypatch.setattr(ser, "READ_BYTES", piece_bytes)
+            out = tmp_path / name
+            code = cli.main(["density", "--param", str(param), "--input", str(path),
+                             "--out", str(out)])
+            return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+        whole = density(1 << 30, "whole.csv")
+        assert whole[0] == (0 if fault in ("no_last_newline", "blank_lines") else 2), whole
+        assert density(rng.randint(1, 64), "pieces.csv") == whole
 
 
 class TestEndPiece:

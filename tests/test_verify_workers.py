@@ -1,6 +1,7 @@
-"""`cmacg verify` on two forked workers: the same report, lines and exit codes as a
-serial run, and no worker left behind on any path.  A group of checks that cannot be
-forked runs in the parent.
+"""`cmacg verify` on two forked helpers, one for the checks at even positions and one for
+those at odd positions: the same report, lines and exit codes as a serial run, and no
+helper left behind on any path.  A check that a helper does not deliver (no fork, an
+error, a helper that died) runs in the parent.
 
 Patching ``workers._blas_thread_cap`` to return None forces the serial path.  While a
 forked child lives, the parent holds OpenBLAS at one thread and the child runs on that one
@@ -113,7 +114,7 @@ class TestSameOutputAsSerial:
         assert blas_threads() == before
 
     def test_failed_verdict_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
-        # unitary_invariance runs in the second worker
+        # unitary_invariance, position 1, runs in the odd helper
         monkeypatch.setattr(cmacg.verify, "unitary_invariance_check",
                             lambda *a, **k: failing_result("unitary_invariance"))
         argv = ["--n", "10000", "--checks", "normalization,unitary_invariance,corollary"]
@@ -159,10 +160,10 @@ class TestErrorsFromWorkers:
         assert (serial[0], serial[4]) == (forked[0], forked[4])
 
     def test_first_error_in_check_order_wins(self, tmp_path, capsys, monkeypatch):
-        def late(*args, **kwargs):  # position 3, first worker
+        def late(*args, **kwargs):  # position 3, odd helper
             raise NumericalError("late")
 
-        def early(*args, **kwargs):  # position 1, second worker
+        def early(*args, **kwargs):  # position 1, odd helper: read before position 3
             raise ValidationError("early")
 
         monkeypatch.setattr(cmacg.verify, "general_class_check", late)
@@ -184,20 +185,34 @@ class TestErrorsFromWorkers:
         assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["exit", "exception"])
-    def test_worker_without_a_result_is_a_numerical_error(
-            self, tmp_path, capsys, monkeypatch, death):
+    def test_dead_helper_gives_the_serial_outcome(self, tmp_path, capsys, monkeypatch, death):
+        # corollary, position 1, kills the odd helper, and the parent runs it again: an exit
+        # only in a child, where the parent's run is the real check; an exception anywhere
+        parent, check = os.getpid(), cmacg.verify.corollary_check
+
         def dies(*args, **kwargs):
-            if death == "exit":
+            if death == "exception":
+                raise RuntimeError("not a cmacg error")
+            if os.getpid() != parent:
                 os._exit(7)
-            raise RuntimeError("not a cmacg error")
+            return check(*args, **kwargs)
 
         monkeypatch.setattr(cmacg.verify, "corollary_check", dies)
-        code, report, _, _, err = run_verify(
-            tmp_path, capsys, ["--n", "10000", "--checks", "normalization,corollary"])
+        argv = ["--n", "10000", "--checks", "normalization,corollary"]
+        if death == "exception":
+            for serial in (False, True):
+                with pytest.raises(RuntimeError, match="^not a cmacg error$"):
+                    run_verify(tmp_path, capsys, argv, serial=serial)
+                assert_no_child_left()
+                assert not (tmp_path / "report.json").exists()
+            return
+        forked = run_verify(tmp_path, capsys, argv, name="forked.json")
         assert_no_child_left()
-        assert code == 3 and report is None
-        assert err == ("numerical error: the verify worker for checks corollary "
-                       "ended without a result\n")
+        serial = run_verify(tmp_path, capsys, argv, serial=True, name="serial.json")
+        assert forked[2]["workers"] == 2 and serial[2]["workers"] == 1
+        assert forked[0] == serial[0] == 0
+        assert forked[1] == serial[1] and forked[3] == serial[3]
+        assert forked[4] == serial[4] == ""
 
     def test_interrupted_parent_kills_and_reaps_its_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cmacg.verify, "normalization_check",
